@@ -12,16 +12,18 @@ from typing import Optional
 import click
 
 from . import __version__
-from .grid import EmptyGrid, build_grid
-from .planning import NoPath, NodeInObstacle, attach_battery_profile, \
-    plan_energy_efficient, plan_shortest, plan_time_efficient
+# Unused names below stay importable: bench/tracing.py binds them on this module.
+from .grid import EmptyGrid, build_grid  # noqa: F401
+from .planning import NoPath, NodeInObstacle, \
+    plan_energy_efficient, plan_shortest, plan_time_efficient  # noqa: F401
 from .privacy import Unreachable, plan_privacy_dp, total_privacy_risk
 from .reporting import plan_summary, report_text, write_plan_csv, write_report, \
     write_trajectory_csv
 from .scenario_io import ParseError, ValidationError, load_scenario, scenario_digest
-from .simulate import PlanningFailed, run_scenario
+from .simulate import PlanningFailed, run_planner, run_scenario, scenario_grid
 
 PLANNER_NAMES = ("energy", "time", "shortest", "privacy")
+PLAN_ERRORS = (NoPath, NodeInObstacle, Unreachable, EmptyGrid, ValueError)
 
 
 def _debug_enabled() -> bool:
@@ -37,17 +39,7 @@ def _load(source: str):
         raise click.UsageError(f"invalid scenario {source!r}: {exc}")
 
 
-def _run_planner(sc, name: str):
-    grid = None
-    if name != "privacy":
-        grid = build_grid(sc.env, sc.grid_resolution, margin=sc.grid_margin,
-                          planar_z=sc.planar_z, energy=sc.energy)
-    if name == "energy":
-        return plan_energy_efficient(grid, sc.battery, sc.start, sc.goal)
-    if name == "time":
-        return plan_time_efficient(grid, sc.battery, sc.start, sc.goal)
-    if name == "shortest":
-        return attach_battery_profile(plan_shortest(grid, sc.start, sc.goal), sc.battery)
+def _plan_privacy(sc):
     t_max = sc.privacy_t_max
     if t_max is None:
         t_max = 2.0 * sc.start.dist_to(sc.goal) / sc.limits.cruise
@@ -76,8 +68,9 @@ def plan(scenario: str, planner: str, output: Optional[str],
     """Plan a path with the selected planner and export it."""
     sc = _load(scenario)
     try:
-        result = _run_planner(sc, planner)
-    except (NoPath, NodeInObstacle, Unreachable, EmptyGrid, ValueError) as exc:
+        result = (_plan_privacy(sc) if planner == "privacy"
+                  else run_planner(sc, planner, scenario_grid(sc), sc.start, sc.battery))
+    except PLAN_ERRORS as exc:
         click.echo(f"planning failed: {exc}", err=True)
         sys.exit(1)
     if planner == "privacy":
@@ -155,12 +148,23 @@ def compare(scenario: str, planners: str, output: Optional[str]) -> None:
         if n not in PLANNER_NAMES:
             raise click.UsageError(f"unknown planner {n!r}")
     sc = _load(scenario)
+    grid = grid_error = None
+    if any(n != "privacy" for n in names):
+        try:
+            grid = scenario_grid(sc)
+        except (EmptyGrid, ValueError) as exc:
+            grid_error = exc
     rows = {}
     failures = 0
     for n in names:
         try:
-            result = _run_planner(sc, n)
-        except (NoPath, NodeInObstacle, Unreachable, EmptyGrid, ValueError) as exc:
+            if n == "privacy":
+                result = _plan_privacy(sc)
+            elif grid_error is not None:
+                raise grid_error
+            else:
+                result = run_planner(sc, n, grid, sc.start, sc.battery)
+        except PLAN_ERRORS as exc:
             rows[n] = {"error": str(exc)}
             failures += 1
             continue

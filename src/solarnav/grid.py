@@ -4,13 +4,14 @@ per-edge energy/time costs."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, Optional, Tuple
+from dataclasses import dataclass
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
 from .energy import EnergyModel, consumption_energy, incidence_cosine, motion_segment
-from .world import Environment, Vec3, in_shadow, segments_blocked
+# in_shadow stays importable here: bench/tracing.py binds it on this module.
+from .world import Environment, Vec3, in_shadow, segments_blocked  # noqa: F401
 
 
 class EmptyGrid(Exception):
@@ -42,8 +43,16 @@ class EdgeCost:
 class NavGrid:
     """26-connected lattice (8-connected in planar mode) of free nodes.
 
-    Edge energy/time annotations are evaluated lazily against the attached
-    energy model and memoized; geometry is immutable after construction.
+    `build_grid` computes every edge annotation once, as arrays indexed by
+    the offset k of `offsets`; nothing changes after construction:
+
+    - `e_out[k]`, `duration[k]` and `length[k]`: consumption, traversal time
+      and length of motion primitive k under the attached energy model;
+    - `shadow[k, ix, iy, iz]`: the t = 0 sun is blocked at the midpoint of
+      the directed edge leaving node (ix, iy, iz) along k;
+    - `lit_gain[k, iz]`: harvest of a sunlit edge leaving layer iz along k.
+
+    `edge_cost` and `neighbors` are views over these arrays.
     """
 
     env: Environment
@@ -54,12 +63,15 @@ class NavGrid:
     offsets: np.ndarray                # (K, 3) int
     edge_ok: np.ndarray                # bool (K, nx, ny, nz)
     margin: float
-    energy: EnergyModel = field(default_factory=EnergyModel)
-    _edge_cache: Dict[Tuple[int, int], EdgeCost] = field(default_factory=dict, repr=False)
-    _shadow_cache: Dict[Tuple[int, int], bool] = field(default_factory=dict, repr=False)
-    _offset_lengths: Optional[np.ndarray] = field(default=None, repr=False)
-    _offset_durations: Optional[np.ndarray] = field(default=None, repr=False)
-    _coord_lists: Optional[Tuple[list, list, list]] = field(default=None, repr=False)
+    energy: EnergyModel
+    e_out: np.ndarray                  # (K,) J
+    duration: np.ndarray               # (K,) s
+    length: np.ndarray                 # (K,) m
+    shadow: np.ndarray                 # bool (K, nx, ny, nz)
+    lit_gain: np.ndarray               # (K, nz) J
+
+    def __post_init__(self):
+        self._offset_index = {tuple(o): k for k, o in enumerate(self.offsets.tolist())}
 
     @property
     def planar(self) -> bool:
@@ -116,65 +128,31 @@ class NavGrid:
 
     def coord_lists(self) -> Tuple[list, list, list]:
         """Per-node x/y/z coordinates as plain lists (search hot path)."""
-        if self._coord_lists is None:
-            nx, ny, nz = self.dims
-            r = self.resolution
-            xs = [float(self.origin[0] + i * r) for i in range(nx)]
-            ys = [float(self.origin[1] + i * r) for i in range(ny)]
-            zs = [float(self.origin[2] + i * r) for i in range(nz)]
-            flat_x, flat_y, flat_z = [], [], []
-            for i in range(nx):
-                for j in range(ny):
-                    for k in range(nz):
-                        flat_x.append(xs[i])
-                        flat_y.append(ys[j])
-                        flat_z.append(zs[k])
-            self._coord_lists = (flat_x, flat_y, flat_z)
-        return self._coord_lists
+        axes = [self.origin[i] + np.arange(n) * self.resolution
+                for i, n in enumerate(self.dims)]
+        return tuple(c.ravel().tolist() for c in np.meshgrid(*axes, indexing="ij"))
 
-    def offset_length(self, k: int) -> float:
-        """Euclidean length of motion primitive k (geometry only)."""
-        if self._offset_lengths is None:
-            self._offset_lengths = np.linalg.norm(
-                self.offsets * self.resolution, axis=1)
-        return float(self._offset_lengths[k])
-
-    def offset_duration(self, k: int) -> float:
-        """Traversal time of motion primitive k under the attached model."""
-        if self._offset_durations is None:
-            c = self.energy.consumption
-            out = np.empty(self.offsets.shape[0])
-            for i, (dx, dy, dz) in enumerate(self.offsets):
-                seg = motion_segment(self.resolution * math.hypot(dx, dy),
-                                     self.resolution * dz, c)
-                out[i] = seg.duration
-            self._offset_durations = out
-        return float(self._offset_durations[k])
+    def search_tables(self) -> Tuple[bytes, list, list]:
+        """Plain views of the edge arrays for search loops: the shadow flag of
+        edge (node, k) at [k * node_count + node], e_out at [k], and the lit
+        gain at [k * nz + iz]."""
+        return self.shadow.tobytes(), self.e_out.tolist(), self.lit_gain.ravel().tolist()
 
     def edge_cost(self, a: int, b: int) -> EdgeCost:
-        """Energy/time annotation of the directed edge a -> b (memoized)."""
-        cached = self._edge_cache.get((a, b))
-        if cached is not None:
-            return cached
-        pa = np.array(self.node_xyz(a))
-        pb = np.array(self.node_xyz(b))
-        d_h = float(math.hypot(pb[0] - pa[0], pb[1] - pa[1]))
-        dz = float(pb[2] - pa[2])
-        seg = motion_segment(d_h, dz, self.energy.consumption)
-        e_out = consumption_energy(seg, self.energy.consumption)
-        mid = Vec3.from_array((pa + pb) / 2.0)
-        key = (min(a, b), max(a, b))
-        shadowed = self._shadow_cache.get(key)
-        if shadowed is None:
-            shadowed = in_shadow(self.env, mid, 0.0)
-            self._shadow_cache[key] = shadowed
-        sun = self.env.sun
-        cos_theta = incidence_cosine(0.0, 0.0, sun.azimuth, sun.elevation)
-        power = self.energy.harvest_power(cos_theta, shadowed, mid.z)
-        cost = EdgeCost(e_out, power * seg.duration, seg.duration,
-                        float(np.linalg.norm(pb - pa)))
-        self._edge_cache[(a, b)] = cost
-        return cost
+        """Energy/time annotation of the directed edge a -> b.
+
+        Raises ValueError when a -> b is not an edge of the grid."""
+        n = self.node_count
+        if not (0 <= a < n and 0 <= b < n):
+            raise ValueError(f"{a} -> {b}: node index outside the grid")
+        ia = self.unflatten(a)
+        ib = self.unflatten(b)
+        k = self._offset_index.get((ib[0] - ia[0], ib[1] - ia[1], ib[2] - ia[2]))
+        if k is None or not self.edge_ok[(k,) + ia]:
+            raise ValueError(f"{a} -> {b} is not an edge of the grid")
+        gain = 0.0 if self.shadow[(k,) + ia] else float(self.lit_gain[k, ia[2]])
+        return EdgeCost(float(self.e_out[k]), gain, float(self.duration[k]),
+                        float(self.length[k]))
 
 
 def build_grid(env: Environment, resolution: float, margin: float = 2.0,
@@ -184,7 +162,8 @@ def build_grid(env: Environment, resolution: float, margin: float = 2.0,
 
     Nodes are lattice points inside the bounds and altitude band that clear
     every prism by `margin`; edges whose straight segment intersects a prism
-    surface are removed. Raises EmptyGrid when no free node exists.
+    surface are removed. Every edge annotation is computed here, once.
+    Raises EmptyGrid when no free node exists.
     """
     if resolution <= 0:
         raise ValueError("resolution must be positive")
@@ -230,12 +209,9 @@ def build_grid(env: Environment, resolution: float, margin: float = 2.0,
     offsets = _offsets(planar=(nz == 1))
     n_off = offsets.shape[0]
     edge_ok = np.zeros((n_off, nx, ny, nz), dtype=bool)
-    opposite = {tuple(o): i for i, o in enumerate(offsets)}
-    done = set()
-    for k, (dx, dy, dz) in enumerate(offsets):
-        if k in done:
-            continue
-        k_rev = opposite[(-dx, -dy, -dz)]
+    # offsets[n_off - 1 - k] == -offsets[k]: test each undirected edge once.
+    for k in range(n_off // 2):
+        dx, dy, dz = offsets[k]
         # Candidate edges: both endpoints free, shifted masks aligned.
         src = np.zeros((nx, ny, nz), dtype=bool)
         sl_src = (slice(max(0, -dx), nx - max(0, dx)),
@@ -252,46 +228,50 @@ def build_grid(env: Environment, resolution: float, margin: float = 2.0,
             clear = ~segments_blocked(env, starts, ends)
             ok = idx[clear]
             edge_ok[k, ok[:, 0], ok[:, 1], ok[:, 2]] = True
-            edge_ok[k_rev, ok[:, 0] + dx, ok[:, 1] + dy, ok[:, 2] + dz] = True
-        done.update((k, k_rev))
+            edge_ok[n_off - 1 - k, ok[:, 0] + dx, ok[:, 1] + dy, ok[:, 2] + dz] = True
 
-    grid = NavGrid(env=env, resolution=resolution, origin=origin, dims=(nx, ny, nz),
+    # Edge midpoints lie on the half-step lattice, where node i sits at index
+    # 2 * i + 1 and the midpoint of its edge along k at 2 * i + 1 + offsets[k].
+    # Up to four edges (the diagonals of a face or a cube) share a midpoint;
+    # each midpoint is shadow-tested once, against the t = 0 sun.
+    mid_views = [tuple(slice(1 + d, 1 + d + 2 * n, 2) for d, n in zip(off, (nx, ny, nz)))
+                 for off in offsets.tolist()]
+    half = np.zeros((2 * nx + 1, 2 * ny + 1, 2 * nz + 1), dtype=bool)
+    for k, view in enumerate(mid_views):
+        half[view] |= edge_ok[k]
+    at = np.argwhere(half)
+    mids = origin + (at - 1) * (resolution / 2.0)
+    sun = env.sun.position_at(0.0).as_array()
+    half[tuple(at.T)] = segments_blocked(env, np.broadcast_to(sun, mids.shape), mids)
+    shadow = np.stack([half[view] & edge_ok[k] for k, view in enumerate(mid_views)])
+
+    energy = energy or EnergyModel()
+    e_out, duration, length, lit_gain = _offset_tables(env, energy, offsets, resolution,
+                                                       zs.tolist())
+    return NavGrid(env=env, resolution=resolution, origin=origin, dims=(nx, ny, nz),
                    free=free, offsets=offsets, edge_ok=edge_ok, margin=margin,
-                   energy=energy or EnergyModel())
-    _precompute_edge_shadows(grid)
-    return grid
+                   energy=energy, e_out=e_out, duration=duration, length=length,
+                   shadow=shadow, lit_gain=lit_gain)
 
 
-def _precompute_edge_shadows(grid: NavGrid) -> None:
-    """Shadow-test every edge midpoint in one vectorized pass (t = 0 sun).
-
-    Fills the same cache the lazy scalar path would; the two share one
-    segment-intersection implementation, so results are identical."""
-    nx, ny, nz = grid.dims
-    ny_nz = ny * nz
-    mids = []
-    keys = []
-    for k, (dx, dy, dz) in enumerate(grid.offsets):
-        idx = np.argwhere(grid.edge_ok[k])
-        if not idx.size:
-            continue
-        a_flat = (idx[:, 0] * ny + idx[:, 1]) * nz + idx[:, 2]
-        b_flat = a_flat + (dx * ny + dy) * nz + dz
-        fwd = a_flat < b_flat  # each undirected edge once
-        sel = idx[fwd]
-        a_sel = a_flat[fwd]
-        b_sel = b_flat[fwd]
-        starts = grid.origin + sel * grid.resolution
-        offs = np.array([dx, dy, dz]) * grid.resolution
-        mids.append(starts + offs / 2.0)
-        keys.append(np.stack([a_sel, b_sel], axis=1))
-    if not mids:
-        return
-    midpoints = np.concatenate(mids)
-    pairs = np.concatenate(keys)
-    sun = grid.env.sun.position_at(0.0).as_array()
-    suns = np.broadcast_to(sun, midpoints.shape)
-    shadowed = segments_blocked(grid.env, suns, midpoints)
-    cache = grid._shadow_cache
-    for (a, b), flag in zip(pairs, shadowed):
-        cache[(int(a), int(b))] = bool(flag)
+def _offset_tables(env: Environment, energy: EnergyModel, offsets: np.ndarray,
+                   resolution: float, zs: list) -> Tuple[np.ndarray, ...]:
+    """Consumption, duration and length of each motion primitive k, and the
+    harvest of a sunlit edge leaving layer iz along k, taken at the edge's
+    midpoint altitude (zero where the edge would leave the lattice)."""
+    cons = energy.consumption
+    sun = env.sun
+    cos_theta = incidence_cosine(0.0, 0.0, sun.azimuth, sun.elevation)
+    nz = len(zs)
+    e_out, duration = [], []
+    lit_gain = np.zeros((offsets.shape[0], nz))
+    for k, (dx, dy, dz) in enumerate((offsets * resolution).tolist()):
+        seg = motion_segment(math.hypot(dx, dy), dz, cons)
+        e_out.append(consumption_energy(seg, cons))
+        duration.append(seg.duration)
+        step = int(offsets[k, 2])
+        for iz in range(max(0, -step), min(nz, nz - step)):
+            z_mid = (zs[iz] + zs[iz + step]) / 2.0
+            lit_gain[k, iz] = energy.harvest_power(cos_theta, False, z_mid) * seg.duration
+    return (np.array(e_out), np.array(duration),
+            np.linalg.norm(offsets * resolution, axis=1), lit_gain)

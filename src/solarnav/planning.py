@@ -12,8 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .energy import (BatteryState, HarvestModel, consumption_energy,
-                     harvest_power_clear, incidence_cosine, motion_segment)
+from .energy import BatteryState
 from .grid import EdgeCost, NavGrid
 from .world import Vec3
 
@@ -138,12 +137,14 @@ def _astar_plain(grid: NavGrid, start: int, goal: int,
 
 def _astar_battery(grid: NavGrid, start: int, goal: int, battery: BatteryState,
                    edge_fn: Callable[[int, int, int], float],
-                   h_fn: Callable[[int], float]) -> Tuple[List[int], float, List[float]]:
+                   h_fn: Callable[[int], float]) -> Tuple[List[int], float]:
     """Label-setting A* over (node, battery energy) with Pareto dominance.
 
     A label survives only if no other label at the node has both lower-or-equal
     cost and higher-or-equal energy; this keeps re-expansions that arrive with
     strictly more energy, which the battery floor can later reward."""
+    n, nz = grid.node_count, grid.dims[2]
+    shadow, e_out, lit_gain = grid.search_tables()
     counter = 0
     frontier: Dict[int, List[Tuple[float, float, int]]] = {start: [(0.0, battery.energy, 0)]}
     parents: Dict[int, Tuple[Optional[int], int]] = {0: (None, start)}
@@ -163,11 +164,12 @@ def _astar_battery(grid: NavGrid, start: int, goal: int, battery: BatteryState,
                 flats.append(at)
                 cur = par
             flats.reverse()
-            return flats, g, []
+            return flats, g
+        iz = node % nz
         for nbr, k in grid.neighbors(node):
             cost = edge_fn(node, nbr, k)
-            edge = grid.edge_cost(node, nbr)
-            new_e = min(battery.capacity, energy - edge.e_out + edge.e_gain)
+            gain = 0.0 if shadow[k * n + node] else lit_gain[k * nz + iz]
+            new_e = min(battery.capacity, energy - e_out[k] + gain)
             if new_e < battery.floor:
                 continue  # CheckBattery fails: hard floor breached
             new_g = g + cost
@@ -204,49 +206,33 @@ def _euclid_heuristic(grid: NavGrid, goal: int, rate: float) -> Callable[[int], 
 def energy_edge_cost(grid: NavGrid) -> Callable[[int, int, int], float]:
     """Nonnegative ordering cost of an edge: net expenditure floored at zero.
 
-    Under the clear-sky model the cost depends only on the motion primitive
-    and the midpoint shadow flag, so it reduces to two lookup tables."""
-    model = grid.energy
-    if model.mode is HarvestModel.CLEAR:
-        sun = grid.env.sun
-        p_sun = harvest_power_clear(
-            incidence_cosine(0.0, 0.0, sun.azimuth, sun.elevation),
-            False, model.harvest)
-        cons = model.consumption
-        lit, dark = [], []
-        for k, (dx, dy, dz) in enumerate(grid.offsets):
-            seg = motion_segment(grid.resolution * math.hypot(dx, dy),
-                                 grid.resolution * dz, cons)
-            e_out = consumption_energy(seg, cons)
-            dur = grid.offset_duration(k)
-            lit.append(max(0.0, e_out - p_sun * dur))
-            dark.append(max(0.0, e_out))
-        cache = grid._shadow_cache
+    A shadowed edge costs its consumption; a sunlit one its consumption
+    minus the lit gain of its offset and source layer."""
+    n, nz = grid.node_count, grid.dims[2]
+    shadow, e_out, lit_gain = grid.search_tables()
+    lit = [max(0.0, e_out[i // nz] - g) for i, g in enumerate(lit_gain)]
 
-        def fast(a: int, b: int, k: int) -> float:
-            key = (a, b) if a < b else (b, a)
-            shadowed = cache.get(key)
-            if shadowed is None:
-                shadowed = grid.edge_cost(a, b).e_gain == 0.0
-            return dark[k] if shadowed else lit[k]
-        return fast
+    def fn(a: int, _b: int, k: int) -> float:
+        if shadow[k * n + a]:
+            return e_out[k]  # consumption is never negative
+        return lit[k * nz + a % nz]
+    return fn
 
-    def fn(a: int, b: int, _k: int) -> float:
-        e = grid.edge_cost(a, b)
-        return max(0.0, e.e_out - e.e_gain)
+
+def _offset_cost(table) -> Callable[[int, int, int], float]:
+    values = table.tolist()
+
+    def fn(_a: int, _b: int, k: int) -> float:
+        return values[k]
     return fn
 
 
 def time_edge_cost(grid: NavGrid) -> Callable[[int, int, int], float]:
-    def fn(_a: int, _b: int, k: int) -> float:
-        return grid.offset_duration(k)
-    return fn
+    return _offset_cost(grid.duration)
 
 
 def length_edge_cost(grid: NavGrid) -> Callable[[int, int, int], float]:
-    def fn(_a: int, _b: int, k: int) -> float:
-        return grid.offset_length(k)
-    return fn
+    return _offset_cost(grid.length)
 
 
 def _energy_rate(grid: NavGrid) -> float:
@@ -298,7 +284,7 @@ def plan_energy_efficient(grid: NavGrid, battery: Optional[BatteryState],
     if battery is None:
         flats, cost = _astar_plain(grid, s, g, energy_edge_cost(grid), h)
         return _assemble(grid, flats, cost)
-    flats, cost, _ = _astar_battery(grid, s, g, battery, energy_edge_cost(grid), h)
+    flats, cost = _astar_battery(grid, s, g, battery, energy_edge_cost(grid), h)
     return _assemble(grid, flats, cost, battery)
 
 
@@ -314,7 +300,7 @@ def plan_time_efficient(grid: NavGrid, battery: Optional[BatteryState],
     if battery is None:
         flats, cost = _astar_plain(grid, s, g, time_edge_cost(grid), h)
         return _assemble(grid, flats, cost)
-    flats, cost, _ = _astar_battery(grid, s, g, battery, time_edge_cost(grid), h)
+    flats, cost = _astar_battery(grid, s, g, battery, time_edge_cost(grid), h)
     return _assemble(grid, flats, cost, battery)
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from typing import Any, Dict, Optional
+from typing import Any, Callable, Dict, Optional
 
 import yaml
 
@@ -40,6 +40,16 @@ def _vec(raw: Any, where: str) -> Vec3:
         return Vec3(float(raw[0]), float(raw[1]), float(raw[2]))
     except (TypeError, ValueError) as exc:
         raise ValidationError(where, str(exc)) from exc
+
+
+def _finite(raw: Any, where: str, ok: Callable[[float], bool], rule: str) -> float:
+    try:
+        value = float(raw)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(where, str(exc)) from exc
+    if not (math.isfinite(value) and ok(value)):
+        raise ValidationError(where, f"must be finite and {rule}, got {raw!r}")
+    return value
 
 
 def _build(cls, raw: Dict[str, Any], where: str, **converted):
@@ -129,6 +139,10 @@ def scenario_from_dict(data: Dict[str, Any]) -> Scenario:
             velocity=_vec(o.get("velocity", [0, 0, 0]), where + ".velocity")))
 
     mission = data.get("mission", {})
+    grid_resolution = _finite(mission.get("grid_resolution", 20.0),
+                              "mission.grid_resolution", lambda v: v > 0, "positive")
+    grid_margin = _finite(mission.get("grid_margin", 2.0), "mission.grid_margin",
+                          lambda v: v >= 0, "nonnegative")
     sim_raw = data.get("sim", {})
     privacy_raw = data.get("privacy", {})
     try:
@@ -144,8 +158,8 @@ def scenario_from_dict(data: Dict[str, Any]) -> Scenario:
             dt=float(sim_raw.get("dt", 0.05)),
             max_duration=float(sim_raw.get("max_duration", 200.0)),
             planner=str(mission.get("planner", "energy")),
-            grid_resolution=float(mission.get("grid_resolution", 20.0)),
-            grid_margin=float(mission.get("grid_margin", 2.0)),
+            grid_resolution=grid_resolution,
+            grid_margin=grid_margin,
             planar_z=(None if mission.get("planar_z") is None
                       else float(mission["planar_z"])),
             arrival_radius=(None if sim_raw.get("arrival_radius") is None

@@ -15,9 +15,9 @@ from .control import (AvoidanceParams, ControlLimits, Detection, Mode, UavState,
                       step_kinematics_planar, supervisor_step)
 from .energy import (BatteryDepleted, BatteryState, EnergyModel, battery_step,
                      consumption_energy, incidence_cosine, motion_segment)
-from .grid import EmptyGrid, build_grid
-from .planning import NoPath, NodeInObstacle, Path, plan_energy_efficient, \
-    plan_shortest, plan_time_efficient
+from .grid import EmptyGrid, NavGrid, build_grid
+from .planning import NoPath, NodeInObstacle, Path, attach_battery_profile, \
+    plan_energy_efficient, plan_shortest, plan_time_efficient
 from .world import Environment, Prism, Vec3, gamma, in_shadow, is_collision
 
 CONTROL_MODES = ("hybrid", "reactive-only", "track-only")
@@ -245,12 +245,24 @@ def min_separation(env: Environment, obstacles: Sequence[MovingObstacle],
     return best
 
 
-def _run_planner(sc: Scenario, grid, start: Vec3, battery: BatteryState) -> Path:
-    if sc.planner == "energy":
+def scenario_grid(sc: Scenario) -> NavGrid:
+    """The planning lattice of the scenario's known world."""
+    return build_grid(sc.env, sc.grid_resolution, margin=sc.grid_margin,
+                      planar_z=sc.planar_z, energy=sc.energy)
+
+
+def run_planner(sc: Scenario, name: str, grid: NavGrid, start: Vec3,
+                battery: BatteryState) -> Path:
+    """Plan from `start` to the goal on `grid` with the named grid planner.
+
+    The shortest path ignores energy; its battery trace is attached after
+    the search. Any other name, including `privacy`, which has no grid form,
+    plans the shortest path."""
+    if name == "energy":
         return plan_energy_efficient(grid, battery, start, sc.goal)
-    if sc.planner == "time":
+    if name == "time":
         return plan_time_efficient(grid, battery, start, sc.goal)
-    return plan_shortest(grid, start, sc.goal)
+    return attach_battery_profile(plan_shortest(grid, start, sc.goal), battery)
 
 
 def _plan_reference(sc: Scenario, mode: str):
@@ -265,9 +277,8 @@ def _plan_reference(sc: Scenario, mode: str):
                for i in range(n + 1)]
         return Path(pts, [], 0.0), None
     try:
-        grid = build_grid(sc.env, sc.grid_resolution, margin=sc.grid_margin,
-                          planar_z=sc.planar_z, energy=sc.energy)
-        return _run_planner(sc, grid, sc.start, sc.battery), grid
+        grid = scenario_grid(sc)
+        return run_planner(sc, sc.planner, grid, sc.start, sc.battery), grid
     except (NoPath, NodeInObstacle, EmptyGrid, ValueError) as exc:
         raise PlanningFailed(str(exc)) from exc
 
@@ -388,9 +399,7 @@ def _replanned_waypoints(sc: Scenario, grid, state: UavState, waypoints, log: Si
         anchor = grid.node_point(grid.index_of_point(state.position))
         if is_collision(anchor, sc.env, margin=grid.margin):
             return waypoints
-        battery = BatteryState(state.battery.energy, state.battery.capacity,
-                               state.battery.floor)
-        fresh = _run_planner(sc, grid, anchor, battery)
+        fresh = run_planner(sc, sc.planner, grid, anchor, state.battery)
     except (NoPath, NodeInObstacle, ValueError):
         return waypoints
     log.events.append(SimEvent(t, "replan", f"{len(fresh.waypoints)} waypoints"))

@@ -2,8 +2,9 @@
 
 Every oracle here recomputes its answer by a different mechanism than the
 code under test: dense ray-marching instead of analytic minimization, dense
-resampling instead of arc-length walking, product-graph search instead of
-label-setting A*, and recursion/enumeration instead of layered DP tables.
+resampling instead of arc-length walking, per-edge scalar evaluation instead
+of per-offset tables and a batched shadow mask, product-graph search instead
+of label-setting A*, and recursion/enumeration instead of layered DP tables.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from solarnav import Environment, NavGrid, PrivacyRegion, Vec3
+from solarnav import (EdgeCost, Environment, NavGrid, PrivacyRegion, Vec3,
+                      consumption_energy, in_shadow, incidence_cosine, motion_segment)
 from solarnav.privacy import DpLattice, _DpProblem
 
 
@@ -35,6 +37,25 @@ def raymarch_segment_blocked(env: Environment, a: Vec3, b: Vec3,
         if (g <= 1.0).any():
             return True
     return False
+
+
+def reference_edge_cost(grid: NavGrid, a: int, b: int) -> EdgeCost:
+    """Annotation of the directed edge a -> b evaluated on its own: motion
+    from the node coordinate deltas, a scalar shadow test of the t = 0 sun at
+    the midpoint, and the model's harvest power at the midpoint altitude."""
+    pa = np.array(grid.node_xyz(a))
+    pb = np.array(grid.node_xyz(b))
+    d_h = float(math.hypot(pb[0] - pa[0], pb[1] - pa[1]))
+    dz = float(pb[2] - pa[2])
+    seg = motion_segment(d_h, dz, grid.energy.consumption)
+    e_out = consumption_energy(seg, grid.energy.consumption)
+    mid = Vec3.from_array((pa + pb) / 2.0)
+    shadowed = in_shadow(grid.env, mid, 0.0)
+    sun = grid.env.sun
+    cos_theta = incidence_cosine(0.0, 0.0, sun.azimuth, sun.elevation)
+    power = grid.energy.harvest_power(cos_theta, shadowed, mid.z)
+    return EdgeCost(e_out, power * seg.duration, seg.duration,
+                    float(np.linalg.norm(pb - pa)))
 
 
 def resampled_lookahead(waypoints: Sequence[Vec3], p: Vec3, lookahead: float,

@@ -97,6 +97,18 @@ def test_plan_unknown_planner_usage_error(tmp_path):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("field, value", [
+    ("grid_resolution", 0), ("grid_resolution", -5.0), ("grid_resolution", float("nan")),
+    ("grid_margin", -1.0), ("grid_margin", float("inf")), ("grid_margin", float("nan"))])
+def test_plan_rejects_bad_grid_parameters(tmp_path, field, value):
+    doc = yaml.safe_load(MINIMAL)
+    doc["mission"][field] = value
+    path = write(tmp_path, yaml.safe_dump(doc))
+    result = CliRunner().invoke(main, ["plan", "-s", path])
+    assert result.exit_code == 2, result.output
+    assert f"mission.{field}" in result.output
+
+
 def test_plan_failure_exits_one(tmp_path):
     doc = yaml.safe_load(MINIMAL)
     doc["world"]["prisms"] = [{"center": [100, 100, 60], "semi_axes": [30, 99, 59],

@@ -7,9 +7,12 @@ import itertools
 import numpy as np
 import pytest
 
-from solarnav import EmptyGrid, Prism, Vec3, build_grid, segment_blocked
+from solarnav import (ConsumptionParams, EmptyGrid, EnergyModel, HarvestModel,
+                      HarvestParams, Prism, SunModel, Vec3, build_grid,
+                      energy_edge_cost, segment_blocked)
 
 from conftest import empty_env, env_with, random_env
+from oracles import reference_edge_cost
 
 
 def test_empty_world_node_count():
@@ -112,3 +115,39 @@ def test_edge_costs_level_and_climb(default_energy):
     diagonal = grid.edge_cost(a, grid.flat_of(1, 0, 1))
     assert diagonal.e_out == pytest.approx(level.e_out + climb.e_out)
     assert diagonal.duration == pytest.approx(max(level.duration, climb.duration))
+
+
+@pytest.mark.parametrize("mode", list(HarvestModel))
+@pytest.mark.parametrize("planar_z", [None, 40.0])
+def test_every_edge_matches_the_scalar_reference(mode, planar_z):
+    """On an integral lattice the per-offset tables and the batched shadow
+    mask reproduce the per-edge scalar evaluation exactly, through edge_cost
+    and through the energy search cost, for every harvest model."""
+    prism = Prism(Vec3(50, 50, 30), (25, 20, 30), (2, 2, 2))
+    sun = SunModel.from_position(Vec3(50, -250, 300), Vec3(50, 50, 40))
+    # A cloud layer inside the altitude band, so the CLOUD gain varies with z.
+    energy = EnergyModel(ConsumptionParams(), HarvestParams(h_down=30.0, h_up=70.0), mode)
+    grid = build_grid(env_with([prism], sun=sun), 20.0, energy=energy, planar_z=planar_z)
+    cost = energy_edge_cost(grid)
+    edges = shadowed = 0
+    for a in range(grid.node_count):
+        for b, k in grid.neighbors(a):
+            ref = reference_edge_cost(grid, a, b)
+            assert grid.edge_cost(a, b) == ref, (a, b)
+            assert cost(a, b, k) == max(0.0, ref.e_out - ref.e_gain), (a, b)
+            edges += 1
+            shadowed += ref.e_gain == 0.0
+    assert 0 < shadowed < edges
+
+
+def test_edge_cost_rejects_non_edges():
+    env = env_with([Prism(Vec3(50, 50, 50), (20, 20, 20))])
+    grid = build_grid(env, 10.0, margin=2.0)
+    a = grid.flat_of(0, 0, 0)
+    above = grid.index_of_point(Vec3(50, 50, 80))
+    occupied = grid.index_of_point(Vec3(50, 50, 70))  # adjacent to `above`
+    assert grid.is_free(above) and not grid.is_free(occupied)
+    for x, y in ((a, grid.flat_of(2, 0, 0)), (a, a), (a, grid.flat_of(0, 0, 10)),
+                 (a, -1), (a, grid.node_count), (above, occupied)):
+        with pytest.raises(ValueError):
+            grid.edge_cost(x, y)
