@@ -11,7 +11,9 @@ import numpy as np
 
 from .energy import EnergyModel, consumption_energy, incidence_cosine, motion_segment
 # in_shadow stays importable here: bench/tracing.py binds it on this module.
-from .world import Environment, Vec3, in_shadow, segments_blocked  # noqa: F401
+from .world import Environment, Vec3, _gamma_points, in_shadow, segments_blocked  # noqa: F401
+
+MAX_GRID_NODES = 1_000_000  # build_grid peaks near 1.2 kB per node (0.41 GB at 272k)
 
 
 class EmptyGrid(Exception):
@@ -155,6 +157,22 @@ class NavGrid:
                         float(self.length[k]))
 
 
+def lattice_dims(env: Environment, resolution: float,
+                 planar_z: Optional[float] = None) -> Tuple[int, int, int]:
+    """Node counts along x and y over the bounds and along z over the altitude
+    band inside them (one layer when planar).
+
+    Raises ValueError when the lattice would exceed MAX_GRID_NODES nodes."""
+    lo, hi = env.bounds.lo, env.bounds.hi
+    spans = [hi.x - lo.x, hi.y - lo.y, min(hi.z, env.z_max) - max(lo.z, env.z_min)]
+    eps = 1e-9 * max(1.0, resolution)
+    nx, ny, nz = (int(math.floor(span / resolution + eps)) + 1 for span in spans)
+    dims = (nx, ny, 1 if planar_z is not None else nz)
+    if math.prod(dims) > MAX_GRID_NODES:
+        raise ValueError(f"{math.prod(dims)} lattice nodes exceed the budget of {MAX_GRID_NODES}")
+    return dims
+
+
 def build_grid(env: Environment, resolution: float, margin: float = 2.0,
                planar_z: Optional[float] = None,
                energy: Optional[EnergyModel] = None) -> NavGrid:
@@ -172,19 +190,15 @@ def build_grid(env: Environment, resolution: float, margin: float = 2.0,
             raise ValueError("resolution must not exceed the smallest prism semi-axis")
 
     lo, hi = env.bounds.lo, env.bounds.hi
-    eps = 1e-9 * max(1.0, resolution)
-    nx = int(math.floor((hi.x - lo.x) / resolution + eps)) + 1
-    ny = int(math.floor((hi.y - lo.y) / resolution + eps)) + 1
     if planar_z is not None:
         if not (lo.z <= planar_z <= hi.z and env.z_min <= planar_z <= env.z_max):
             raise ValueError("planar_z outside bounds or altitude band")
-        z0, nz = planar_z, 1
+        z0 = planar_z
     else:
         z0 = max(lo.z, env.z_min)
-        z_top = min(hi.z, env.z_max)
-        if z0 > z_top:
+        if z0 > min(hi.z, env.z_max):
             raise EmptyGrid("altitude band does not intersect the bounds")
-        nz = int(math.floor((z_top - z0) / resolution + eps)) + 1
+    nx, ny, nz = lattice_dims(env, resolution, planar_z)
     origin = np.array([lo.x, lo.y, z0], dtype=float)
 
     xs = origin[0] + np.arange(nx) * resolution
@@ -195,13 +209,7 @@ def build_grid(env: Environment, resolution: float, margin: float = 2.0,
 
     free = np.ones(points.shape[0], dtype=bool)
     for prism in env.known_obstacles:
-        inflated = prism.inflated(margin) if margin > 0 else prism
-        c = inflated.center.as_array()
-        s = np.array(inflated.semi_axes, dtype=float)
-        d = np.array(inflated.exponents, dtype=int)
-        q = ((points - c) / s) ** 2
-        g = q[:, 0] ** d[0] + q[:, 1] ** d[1] + q[:, 2] ** d[2]
-        free &= g > 1.0
+        free &= _gamma_points(points, prism.inflated(margin) if margin > 0 else prism) > 1.0
     free = free.reshape(nx, ny, nz)
     if not free.any():
         raise EmptyGrid("environment has no collision-free lattice node")

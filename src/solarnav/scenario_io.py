@@ -5,14 +5,15 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Dict, Optional
 
 import yaml
 
 from .control import AvoidanceParams, ControlLimits
 from .energy import BatteryState, ConsumptionParams, EnergyModel, HarvestModel, \
     HarvestParams
-from .simulate import MovingObstacle, Scenario
+from .grid import lattice_dims
+from .simulate import MAX_SIM_STEPS, MovingObstacle, Scenario
 from .world import Box, Environment, Prism, PrivacyRegion, SunModel, Vec3
 
 
@@ -42,12 +43,23 @@ def _vec(raw: Any, where: str) -> Vec3:
         raise ValidationError(where, str(exc)) from exc
 
 
-def _finite(raw: Any, where: str, ok: Callable[[float], bool], rule: str) -> float:
+def _mapping(raw: Any, where: str) -> Dict[str, Any]:
+    if not isinstance(raw, dict):
+        raise ValidationError(where, f"expected a mapping, got {raw!r}")
+    return raw
+
+
+def _finite(section: Dict[str, Any], where: str, default: float,
+            positive: bool = False) -> float:
+    """The field of `section` named by the last part of `where`, as a finite
+    float that is positive, or else nonnegative."""
+    raw = section.get(where.rpartition(".")[2], default)
     try:
         value = float(raw)
     except (TypeError, ValueError) as exc:
         raise ValidationError(where, str(exc)) from exc
-    if not (math.isfinite(value) and ok(value)):
+    if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
+        rule = "positive" if positive else "nonnegative"
         raise ValidationError(where, f"must be finite and {rule}, got {raw!r}")
     return value
 
@@ -61,20 +73,21 @@ def _build(cls, raw: Dict[str, Any], where: str, **converted):
 
 def scenario_from_dict(data: Dict[str, Any]) -> Scenario:
     """Construct and validate a Scenario from its plain-dict form."""
-    if not isinstance(data, dict):
-        raise ValidationError("scenario", "document must be a mapping")
-    world = data.get("world", {})
-    bounds_raw = world.get("bounds", {"min": [0, 0, 0], "max": [1000, 1000, 500]})
+    data = _mapping(data, "scenario")
+    world = _mapping(data.get("world", {}), "world")
+    bounds_raw = _mapping(world.get("bounds", {"min": [0, 0, 0], "max": [1000, 1000, 500]}),
+                          "world.bounds")
     bounds = _build(Box, {}, "world.bounds",
                     lo=_vec(bounds_raw.get("min"), "world.bounds.min"),
                     hi=_vec(bounds_raw.get("max"), "world.bounds.max"))
-    altitude = world.get("altitude", {})
+    altitude = _mapping(world.get("altitude", {}), "world.altitude")
     z_min = float(altitude.get("min", bounds.lo.z))
     z_max = float(altitude.get("max", bounds.hi.z))
 
     prisms = []
     for i, p in enumerate(world.get("prisms", [])):
         where = f"world.prisms[{i}]"
+        p = _mapping(p, where)
         prisms.append(_build(
             Prism, {}, where,
             center=_vec(p.get("center"), where + ".center"),
@@ -84,12 +97,13 @@ def scenario_from_dict(data: Dict[str, Any]) -> Scenario:
     regions = []
     for i, r in enumerate(world.get("privacy_regions", [])):
         where = f"world.privacy_regions[{i}]"
+        r = _mapping(r, where)
         regions.append(_build(
             PrivacyRegion, {}, where,
             center=_vec(r.get("center"), where + ".center"),
             c1=float(r.get("c1", 0.0)), c2=float(r.get("c2", 0.0))))
 
-    sun_raw = world.get("sun", {})
+    sun_raw = _mapping(world.get("sun", {}), "world.sun")
     sun_pos = _vec(sun_raw.get("position", [0, 0, 10000]), "world.sun.position")
     drift = _vec(sun_raw.get("drift", [0, 0, 0]), "world.sun.drift")
     if "azimuth" in sun_raw or "elevation" in sun_raw:
@@ -104,7 +118,7 @@ def scenario_from_dict(data: Dict[str, Any]) -> Scenario:
                  known_obstacles=tuple(prisms), privacy_regions=tuple(regions),
                  sun=sun, z_min=z_min, z_max=z_max)
 
-    energy_raw = data.get("energy", {})
+    energy_raw = _mapping(data.get("energy", {}), "energy")
     consumption = _build(ConsumptionParams, energy_raw.get("consumption", {}),
                          "energy.consumption")
     harvest = _build(HarvestParams, energy_raw.get("harvest", {}), "energy.harvest")
@@ -115,14 +129,14 @@ def scenario_from_dict(data: Dict[str, Any]) -> Scenario:
         raise ValidationError("energy.model", f"unknown model {mode_name!r}") from exc
     energy = EnergyModel(consumption, harvest, mode)
 
-    battery_raw = data.get("battery", {})
-    capacity = float(battery_raw.get("capacity", 670.0))
-    battery = _build(BatteryState, {}, "battery",
-                     energy=float(battery_raw.get("initial", capacity)),
-                     capacity=capacity, floor=float(battery_raw.get("floor", 50.0)))
+    battery_raw = _mapping(data.get("battery", {}), "battery")
+    capacity = _finite(battery_raw, "battery.capacity", 670.0)
+    battery = _build(BatteryState, {}, "battery", capacity=capacity,
+                     energy=_finite(battery_raw, "battery.initial", capacity),
+                     floor=_finite(battery_raw, "battery.floor", 50.0))
 
     limits = _build(ControlLimits, data.get("limits", {}), "limits")
-    avoid_raw = dict(data.get("avoidance", {}))
+    avoid_raw = dict(_mapping(data.get("avoidance", {}), "avoidance"))
     for key in ("alpha_safe", "threshold", "align_tolerance"):
         deg = avoid_raw.pop(key + "_deg", None)
         if deg is not None:
@@ -132,21 +146,26 @@ def scenario_from_dict(data: Dict[str, Any]) -> Scenario:
     obstacles = []
     for i, o in enumerate(data.get("unknown_obstacles", [])):
         where = f"unknown_obstacles[{i}]"
+        o = _mapping(o, where)
         obstacles.append(_build(
             MovingObstacle, {}, where,
             center=_vec(o.get("center"), where + ".center"),
             radius=float(o.get("radius", 0.0)),
             velocity=_vec(o.get("velocity", [0, 0, 0]), where + ".velocity")))
 
-    mission = data.get("mission", {})
-    grid_resolution = _finite(mission.get("grid_resolution", 20.0),
-                              "mission.grid_resolution", lambda v: v > 0, "positive")
-    grid_margin = _finite(mission.get("grid_margin", 2.0), "mission.grid_margin",
-                          lambda v: v >= 0, "nonnegative")
-    sim_raw = data.get("sim", {})
-    privacy_raw = data.get("privacy", {})
+    mission = _mapping(data.get("mission", {}), "mission")
+    grid_resolution = _finite(mission, "mission.grid_resolution", 20.0, positive=True)
+    grid_margin = _finite(mission, "mission.grid_margin", 2.0)
+    lookahead = _finite(mission, "mission.lookahead", 20.0, positive=True)
+    sim_raw = _mapping(data.get("sim", {}), "sim")
+    dt = _finite(sim_raw, "sim.dt", 0.05, positive=True)
+    max_duration = _finite(sim_raw, "sim.max_duration", 200.0)
+    if max_duration / dt > MAX_SIM_STEPS:
+        raise ValidationError("sim.dt", f"{max_duration / dt:.6g} steps exceed the budget "
+                                        f"of {MAX_SIM_STEPS}")
+    privacy_raw = _mapping(data.get("privacy", {}), "privacy")
     try:
-        return Scenario(
+        sc = Scenario(
             env=env,
             start=_vec(mission.get("start"), "mission.start"),
             goal=_vec(mission.get("goal"), "mission.goal"),
@@ -155,8 +174,8 @@ def scenario_from_dict(data: Dict[str, Any]) -> Scenario:
             limits=limits,
             avoidance=avoidance,
             unknown_obstacles=tuple(obstacles),
-            dt=float(sim_raw.get("dt", 0.05)),
-            max_duration=float(sim_raw.get("max_duration", 200.0)),
+            dt=dt,
+            max_duration=max_duration,
             planner=str(mission.get("planner", "energy")),
             grid_resolution=grid_resolution,
             grid_margin=grid_margin,
@@ -164,7 +183,7 @@ def scenario_from_dict(data: Dict[str, Any]) -> Scenario:
                       else float(mission["planar_z"])),
             arrival_radius=(None if sim_raw.get("arrival_radius") is None
                             else float(sim_raw["arrival_radius"])),
-            lookahead=float(mission.get("lookahead", 20.0)),
+            lookahead=lookahead,
             name=str(data.get("name", "scenario")),
             privacy_m_layers=int(privacy_raw.get("m_layers", 12)),
             privacy_t_max=(None if privacy_raw.get("t_max") is None
@@ -174,6 +193,11 @@ def scenario_from_dict(data: Dict[str, Any]) -> Scenario:
         )
     except ValueError as exc:
         raise ValidationError("scenario", str(exc)) from exc
+    try:
+        lattice_dims(env, grid_resolution, sc.planar_z)
+    except (ValueError, OverflowError) as exc:  # OverflowError: an axis past float range
+        raise ValidationError("mission.grid_resolution", str(exc)) from exc
+    return sc
 
 
 def scenario_to_dict(sc: Scenario) -> Dict[str, Any]:

@@ -18,10 +18,11 @@ from .energy import (BatteryDepleted, BatteryState, EnergyModel, battery_step,
 from .grid import EmptyGrid, NavGrid, build_grid
 from .planning import NoPath, NodeInObstacle, Path, attach_battery_profile, \
     plan_energy_efficient, plan_shortest, plan_time_efficient
-from .world import Environment, Prism, Vec3, gamma, in_shadow, is_collision
+from .world import Environment, Vec3, in_shadow, is_collision, prism_clearance
 
 CONTROL_MODES = ("hybrid", "reactive-only", "track-only")
 SIM_PLANNERS = ("energy", "time", "shortest")
+MAX_SIM_STEPS = 100_000  # max_duration / dt; 5,000 s at the default 0.05 s step
 
 
 class PlanningFailed(Exception):
@@ -41,9 +42,6 @@ class MovingObstacle:
         if self.radius <= 0:
             raise ValueError("obstacle radius must be positive")
 
-    def advanced(self, dt: float) -> "MovingObstacle":
-        return replace(self, center=self.center + self.velocity.scaled(dt))
-
     def at(self, t: float) -> "MovingObstacle":
         return replace(self, center=self.center + self.velocity.scaled(t))
 
@@ -56,7 +54,7 @@ def step_obstacles(obstacles: Sequence[MovingObstacle], dt: float) -> List[Movin
     """Advance centers by velocity * dt along straight lines."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    return [o.advanced(dt) for o in obstacles]
+    return [o.at(dt) for o in obstacles]
 
 
 @dataclass
@@ -195,54 +193,19 @@ def shadowed_at(env: Environment, p: Vec3, t: float,
                for o in obstacles)
 
 
-def prism_clearance(p: Vec3, prism: Prism) -> float:
-    """Signed distance proxy along the center ray: positive outside, negative
-    inside, zero on the surface (exact in sign, approximate in magnitude)."""
-    d = p - prism.center
-    r = d.norm()
-    if r == 0.0:
-        return -min(prism.semi_axes)
-    if gamma(p, prism) == 1.0:
-        return 0.0
-    lo, hi = 0.0, 1.0
-    # Bracket the surface crossing on the ray center -> p (gamma is monotone).
-    while gamma(prism.center + d.scaled(hi), prism) < 1.0:
-        lo, hi = hi, hi * 2.0
-        if hi > 1e6:
-            return r
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if gamma(prism.center + d.scaled(mid), prism) < 1.0:
-            lo = mid
-        else:
-            hi = mid
-    return r * (1.0 - 0.5 * (lo + hi))
-
-
-def _boundary_clearance(env: Environment, p: Vec3) -> float:
-    """Signed margin to the bounds walls and altitude band (negative outside)."""
-    lo, hi = env.bounds.lo, env.bounds.hi
-    margins = [p.x - lo.x, hi.x - p.x, p.y - lo.y, hi.y - p.y,
-               p.z - lo.z, hi.z - p.z]
-    if math.isfinite(env.z_min):
-        margins.append(p.z - env.z_min)
-    if math.isfinite(env.z_max):
-        margins.append(env.z_max - p.z)
-    return min(margins)
-
-
 def min_separation(env: Environment, obstacles: Sequence[MovingObstacle],
                    p: Vec3) -> float:
     """Smallest clearance to any prism or sphere surface or the world limits.
 
     Positive exactly when the position is collision-free, matching the
     collision flag for every terminal cause including a bounds exit."""
-    best = _boundary_clearance(env, p)
-    for prism in env.known_obstacles:
-        best = min(best, prism_clearance(p, prism))
-    for o in obstacles:
-        best = min(best, p.dist_to(o.center) - o.radius)
-    return best
+    lo, hi = env.bounds.lo, env.bounds.hi
+    # An unbounded altitude band leaves infinite margins, which never win.
+    margins = [p.x - lo.x, hi.x - p.x, p.y - lo.y, hi.y - p.y, p.z - lo.z, hi.z - p.z,
+               p.z - env.z_min, env.z_max - p.z]
+    margins += [prism_clearance(p, prism) for prism in env.known_obstacles]
+    margins += [p.dist_to(o.center) - o.radius for o in obstacles]
+    return min(margins)
 
 
 def scenario_grid(sc: Scenario) -> NavGrid:

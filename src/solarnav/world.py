@@ -197,6 +197,28 @@ def gamma(p: Vec3, prism: Prism) -> float:
     return gx ** d + gy ** e + gz ** f
 
 
+def prism_clearance(p: Vec3, prism: Prism) -> float:
+    """Signed distance to the surface along the center ray: positive outside,
+    negative inside, zero on the surface (or within a few ulp of it).
+
+    With gamma(p) = g = sum(w_i) over its per-axis terms, gamma(center + s *
+    (p - center)) = sum(w_i * s**(2 e_i)) rises with s and crosses 1 between
+    g**(-1/(2 e_min)) and g**(-1/(2 e_max)): a single point for equal
+    exponents, else a bracket bisected until its midpoint stops moving."""
+    d = (p.x - prism.center.x, p.y - prism.center.y, p.z - prism.center.z)
+    terms = [(((di / a) ** 2) ** e, 2 * e)
+             for di, a, e in zip(d, prism.semi_axes, prism.exponents)]
+    g = terms[0][0] + terms[1][0] + terms[2][0]
+    if g == 0.0:  # the center, or close enough that every term underflows
+        return -min(prism.semi_axes)
+    lo, hi = sorted(g ** (-0.5 / e) for e in (min(prism.exponents), max(prism.exponents)))
+    s = 0.5 * (lo + hi)
+    while lo < s < hi:
+        lo, hi = (s, hi) if sum(w * s ** k for w, k in terms) < 1.0 else (lo, s)
+        s = 0.5 * (lo + hi)
+    return math.sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2]) * (1.0 - s)
+
+
 def _gamma_points(points: np.ndarray, prism: Prism) -> np.ndarray:
     """Vectorized gamma over an (N, 3) array of points."""
     c = prism.center.as_array()
@@ -256,11 +278,10 @@ def _min_gamma_on_segments(starts: np.ndarray, dirs: np.ndarray, prism: Prism,
     convex in t; ellipsoids admit a closed form and the general case uses a
     fixed-iteration ternary search (tolerance ~1e-6 m).
     """
-    c = prism.center.as_array()
-    s = np.array(prism.semi_axes, dtype=float)
     if prism.exponents == (1, 1, 1):
         # Quadratic A t^2 + B t + C with the minimum clamped into [t0, t1].
-        u = (starts - c) / s
+        s = np.array(prism.semi_axes, dtype=float)
+        u = (starts - prism.center.as_array()) / s
         w = dirs / s
         qa = np.einsum("ij,ij->i", w, w)
         qb = 2.0 * np.einsum("ij,ij->i", u, w)
@@ -270,12 +291,8 @@ def _min_gamma_on_segments(starts: np.ndarray, dirs: np.ndarray, prism: Prism,
         t_star = np.clip(t_star, t0, t1)
         return qa * t_star * t_star + qb * t_star + qc
 
-    d_exp = np.array(prism.exponents, dtype=int)
-
     def g_at(t: np.ndarray) -> np.ndarray:
-        pts = starts + t[:, None] * dirs
-        q = ((pts - c) / s) ** 2
-        return q[:, 0] ** d_exp[0] + q[:, 1] ** d_exp[1] + q[:, 2] ** d_exp[2]
+        return _gamma_points(starts + t[:, None] * dirs, prism)
 
     a, b = t0.copy(), t1.copy()
     for _ in range(_SEGMENT_REFINE_ITERS):

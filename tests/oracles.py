@@ -1,7 +1,8 @@
 """Independent brute-force oracles used to cross-check the library.
 
 Every oracle here recomputes its answer by a different mechanism than the
-code under test: dense ray-marching instead of analytic minimization, dense
+code under test: dense ray-marching instead of analytic minimization, doubling
+and bisection on Vec3 points instead of a closed-form bracket, dense
 resampling instead of arc-length walking, per-edge scalar evaluation instead
 of per-offset tables and a batched shadow mask, product-graph search instead
 of label-setting A*, and recursion/enumeration instead of layered DP tables.
@@ -16,8 +17,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from solarnav import (EdgeCost, Environment, NavGrid, PrivacyRegion, Vec3,
-                      consumption_energy, in_shadow, incidence_cosine, motion_segment)
+from solarnav import (EdgeCost, Environment, NavGrid, Prism, PrivacyRegion, Vec3,
+                      consumption_energy, gamma, in_shadow, incidence_cosine,
+                      motion_segment)
 from solarnav.privacy import DpLattice, _DpProblem
 
 
@@ -37,6 +39,30 @@ def raymarch_segment_blocked(env: Environment, a: Vec3, b: Vec3,
         if (g <= 1.0).any():
             return True
     return False
+
+
+def reference_prism_clearance(p: Vec3, prism: Prism) -> float:
+    """Signed distance to the surface along the center ray, found by doubling
+    a bracket from s = 1 and then bisecting it 60 times, each step evaluating
+    gamma at a Vec3 point. Points whose bracket passes s = 1e6 return r."""
+    d = p - prism.center
+    r = d.norm()
+    if r == 0.0:
+        return -min(prism.semi_axes)
+    if gamma(p, prism) == 1.0:
+        return 0.0
+    lo, hi = 0.0, 1.0
+    while gamma(prism.center + d.scaled(hi), prism) < 1.0:
+        lo, hi = hi, hi * 2.0
+        if hi > 1e6:
+            return r
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if gamma(prism.center + d.scaled(mid), prism) < 1.0:
+            lo = mid
+        else:
+            hi = mid
+    return r * (1.0 - 0.5 * (lo + hi))
 
 
 def reference_edge_cost(grid: NavGrid, a: int, b: int) -> EdgeCost:

@@ -11,7 +11,7 @@ from click.testing import CliRunner
 from solarnav.cli import main
 from solarnav.scenario_io import (ParseError, ValidationError, load_scenario,
                                   load_scenario_file, save_scenario,
-                                  scenario_digest, scenario_from_dict)
+                                  scenario_digest, scenario_from_dict, section4_preset)
 
 MINIMAL = """
 name: minimal
@@ -98,15 +98,39 @@ def test_plan_unknown_planner_usage_error(tmp_path):
 
 
 @pytest.mark.parametrize("field, value", [
-    ("grid_resolution", 0), ("grid_resolution", -5.0), ("grid_resolution", float("nan")),
-    ("grid_margin", -1.0), ("grid_margin", float("inf")), ("grid_margin", float("nan"))])
+    ("mission.grid_resolution", 0), ("mission.grid_resolution", -5.0),
+    ("mission.grid_resolution", float("nan")), ("mission.grid_margin", -1.0),
+    ("mission.grid_margin", float("inf")), ("mission.grid_margin", float("nan")),
+    ("mission.grid_resolution", 1e-310), ("mission.lookahead", float("nan")),
+    ("sim.dt", float("nan")), ("sim.dt", 1e-6), ("sim.max_duration", float("inf")),
+    ("battery.capacity", "abc"), ("world", []), ("world.prisms", [5]), ("sim", [])],
+    ids=lambda v: v.removeprefix("mission.") if isinstance(v, str) else None)
 def test_plan_rejects_bad_grid_parameters(tmp_path, field, value):
+    """A malformed or over-budget field exits 2 and names its path."""
     doc = yaml.safe_load(MINIMAL)
-    doc["mission"][field] = value
+    *sections, key = field.split(".")
+    node = doc
+    for name in sections:
+        node = node.setdefault(name, {})
+    node[key] = value
     path = write(tmp_path, yaml.safe_dump(doc))
     result = CliRunner().invoke(main, ["plan", "-s", path])
     assert result.exit_code == 2, result.output
-    assert f"mission.{field}" in result.output
+    assert field in result.output
+
+
+def test_oversized_lattice_rejected_before_any_grid(tmp_path, monkeypatch):
+    """section4 at 1 cm would need 3e13 lattice nodes: the loader rejects it
+    before any grid array is allocated."""
+    def no_grid(*_args, **_kwargs):
+        raise AssertionError("build_grid called")
+    monkeypatch.setattr("solarnav.simulate.build_grid", no_grid)
+    doc = section4_preset()
+    doc["mission"]["grid_resolution"] = 0.01
+    path = write(tmp_path, yaml.safe_dump(doc))
+    result = CliRunner().invoke(main, ["plan", "-s", path])
+    assert result.exit_code == 2, result.output
+    assert "mission.grid_resolution" in result.output
 
 
 def test_plan_failure_exits_one(tmp_path):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from solarnav import (BatteryState, Box, Environment, Mode, MovingObstacle,
@@ -249,6 +250,24 @@ def test_min_separation_sign_matches_collision_flag():
                     or any(p.dist_to(o.center) <= o.radius
                            for o in sc.unknown_obstacles))
         assert (sep > 0.0) == (not collided), (p, sep, collided)
+
+
+def test_min_separation_negative_inside_near_prism_center():
+    """A point a hair off a tower's center is deep inside it: the separation
+    is about minus the half-width, and it is never positive where the
+    position collides."""
+    tower = Prism(Vec3(100, 100, 100), (30, 30, 30), (4, 4, 4))
+    env = Environment(bounds=Box(Vec3(0, 0, 0), Vec3(200, 200, 200)),
+                      known_obstacles=(tower,), sun=SunModel(Vec3(100, 100, 5000)))
+    from solarnav import is_collision, min_separation
+    for offset in (0.0, 1e-12, 1e-5, 1e-3, 1.0):
+        p = Vec3(100 + offset, 100, 100)
+        assert is_collision(p, env)
+        assert min_separation(env, (), p) == pytest.approx(offset - 30.0, abs=1e-9)
+    rng = np.random.default_rng(5)
+    for xyz in rng.uniform(60, 140, (2000, 3)):
+        p = Vec3(*xyz)
+        assert (min_separation(env, (), p) > 0.0) == (not is_collision(p, env)), p
 
 
 def test_metrics_recomputation_matches_battery_deltas():

@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 
 from solarnav import (Box, Environment, Prism, SunModel, Vec3, gamma, in_shadow,
                       is_collision, segment_blocked)
+from solarnav.world import prism_clearance
 
 from conftest import empty_env, env_with, random_env
-from oracles import raymarch_segment_blocked
+from oracles import raymarch_segment_blocked, reference_prism_clearance
 
 CUBE = Prism(Vec3(0, 0, 0), (10, 10, 10), (1, 1, 1))
 
@@ -81,6 +82,26 @@ def test_collision_margin_inflates_surface():
     p = Vec3(61.0, 50, 50)
     assert not is_collision(p, env)
     assert is_collision(p, env, margin=2.0)
+
+
+@pytest.mark.parametrize("exponents", [(1, 1, 1), (2, 2, 2), (4, 4, 4),
+                                       (2, 1, 3), (1, 2, 4)])
+def test_prism_clearance_matches_bisection_reference(exponents):
+    """Within 1e-9 m of the Vec3 bisection at the center and on points inside,
+    outside and on the surface, along axis-aligned and random rays."""
+    rng = np.random.default_rng(17)
+    axis_rays = [(1, 0, 0), (0, -1, 0), (0, 0, 1), (1, 1, 0), (0, -1, 1)]
+    for i in range(300):
+        prism = Prism(Vec3(*rng.uniform(60, 140, 3)), tuple(rng.uniform(5, 60, 3)),
+                      exponents)
+        ray = Vec3(*(axis_rays[i] if i < len(axis_rays) else rng.normal(size=3)))
+        probe = prism.center + ray
+        s_surface = 1.0 - reference_prism_clearance(probe, prism) / ray.norm()
+        for s in (0.0, rng.uniform(0.05, 0.95), 1.0, 1.0 - 1e-12, 1.0 + 1e-12,
+                  rng.uniform(1.05, 4.0)):
+            p = prism.center + ray.scaled(s * s_surface)
+            assert abs(prism_clearance(p, prism) - reference_prism_clearance(p, prism)) \
+                <= 1e-9, (p, prism)
 
 
 def test_segment_empty_environment_never_blocked():
