@@ -12,19 +12,35 @@ import numpy as np
 from .world import Environment, PrivacyRegion, Vec3, is_collision, segment_blocked
 
 
+MAX_DP_STATES = 1_000_000  # nodes x (m_layers + 1); the tables peak near 1.2 kB per node
+
+
 class Unreachable(Exception):
     """No feasible trajectory reaches the target within the time horizon."""
 
 
+def _distances(points: np.ndarray, center: Vec3) -> np.ndarray:
+    dx = points[:, 0] - center.x
+    dy = points[:, 1] - center.y
+    dz = points[:, 2] - center.z
+    return np.sqrt(dx * dx + dy * dy + dz * dz)
+
+
+def privacy_intensities(points: np.ndarray, regions: Sequence[PrivacyRegion]) -> np.ndarray:
+    """Summed violation intensity at each of the (N, 3) points. A region
+    contributes 1 inside its c1 core, 0 beyond c2 and is linear in distance
+    between; regions are added in order, starting from 0.0."""
+    total = np.zeros(len(points))
+    for r in regions:
+        d = _distances(points, r.center)
+        total = total + np.where(d >= r.c2, 0.0,
+                                 np.where(d <= r.c1, 1.0, (d - r.c2) / (r.c1 - r.c2)))
+    return total
+
+
 def privacy_intensity(p: Vec3, region: PrivacyRegion) -> float:
-    """Violation intensity in [0, 1]: 1 inside the c1 core, 0 beyond c2,
-    linear in distance between."""
-    d = p.dist_to(region.center)
-    if d >= region.c2:
-        return 0.0
-    if d <= region.c1:
-        return 1.0
-    return (d - region.c2) / (region.c1 - region.c2)
+    """Violation intensity of one region at one point, in [0, 1]."""
+    return float(privacy_intensities(p.as_array()[None, :], (region,))[0])
 
 
 def total_privacy_risk(traj: Sequence[Tuple[float, Vec3]],
@@ -35,20 +51,11 @@ def total_privacy_risk(traj: Sequence[Tuple[float, Vec3]],
     times = [t for t, _ in traj]
     if any(t1 <= t0 for t0, t1 in zip(times, times[1:])):
         raise ValueError("trajectory timestamps must be strictly increasing")
-    values = [sum(privacy_intensity(p, r) for r in regions) for _, p in traj]
+    values = privacy_intensities(np.array([p.as_tuple() for _, p in traj]), regions).tolist()
     risk = 0.0
     for i in range(len(traj) - 1):
         risk += 0.5 * (values[i] + values[i + 1]) * (times[i + 1] - times[i])
     return risk
-
-
-def _point_segment_distance(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
-    ab = b - a
-    denom = float(ab @ ab)
-    if denom == 0.0:
-        return float(np.linalg.norm(c - a))
-    t = float(np.clip((c - a) @ ab / denom, 0.0, 1.0))
-    return float(np.linalg.norm(c - (a + t * ab)))
 
 
 @dataclass
@@ -107,66 +114,6 @@ class PrivacyPlan:
         return out
 
 
-class _DpProblem:
-    """Shared feasibility and stage-cost machinery for the DP and its audits."""
-
-    def __init__(self, env: Environment, lattice: DpLattice, v_max: float,
-                 samples_per_stage: int):
-        self.env = env
-        self.lattice = lattice
-        self.v_max = v_max
-        self.samples = samples_per_stage
-        self._node_ok: Dict[int, bool] = {}
-        self._move_len = np.linalg.norm(lattice.offsets * lattice.pitch, axis=1)
-        speed_ok = self._move_len <= v_max * lattice.delta * (1 + 1e-9)
-        self.move_indices = [k for k in range(lattice.offsets.shape[0]) if speed_ok[k]]
-
-    def node_feasible(self, flat: int) -> bool:
-        ok = self._node_ok.get(flat)
-        if ok is None:
-            p = self.lattice.node_point(flat)
-            ok = not is_collision(p, self.env) and all(
-                p.dist_to(r.center) > r.c1 for r in self.env.privacy_regions)
-            self._node_ok[flat] = ok
-        return ok
-
-    def move_feasible(self, a: int, b: int) -> bool:
-        """Whole constant-heading segment a -> b must respect hard constraints."""
-        if a == b:
-            return True
-        pa = self.lattice.node_point(a)
-        pb = self.lattice.node_point(b)
-        if self.env.known_obstacles and segment_blocked(self.env, pa, pb):
-            return False
-        aa, bb = pa.as_array(), pb.as_array()
-        for r in self.env.privacy_regions:
-            if _point_segment_distance(r.center.as_array(), aa, bb) <= r.c1:
-                return False
-        return True
-
-    def stage_cost(self, a: int, b: int) -> float:
-        """Risk accumulated over one stage of duration delta along a -> b."""
-        regions = self.env.privacy_regions
-        if not regions:
-            return 0.0
-        pa = self.lattice.node_point(a).as_array()
-        pb = self.lattice.node_point(b).as_array()
-        n = self.samples
-        total = 0.0
-        prev = self._intensity_at(pa, regions)
-        for s in range(1, n + 1):
-            pt = pa + (s / n) * (pb - pa)
-            cur = self._intensity_at(pt, regions)
-            total += 0.5 * (prev + cur)
-            prev = cur
-        return total * self.lattice.delta / n
-
-    @staticmethod
-    def _intensity_at(p: np.ndarray, regions: Sequence[PrivacyRegion]) -> float:
-        v = Vec3(float(p[0]), float(p[1]), float(p[2]))
-        return sum(privacy_intensity(v, r) for r in regions)
-
-
 def _lattice_offsets(planar: bool) -> np.ndarray:
     rows = [(0, 0, 0)]
     for dx in (-1, 0, 1):
@@ -178,6 +125,75 @@ def _lattice_offsets(planar: bool) -> np.ndarray:
     return np.array(rows, dtype=int)
 
 
+def _clear_moves(env: Environment, pred: np.ndarray, pa: np.ndarray,
+                 pb: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows of the moves pa -> pb (distinct points) whose segment keeps
+    out of every c1 core and clears every prism: a vector core test, then one
+    scalar segment test per move that passed it."""
+    ab = pb - pa
+    denom = ab[:, 0] * ab[:, 0] + ab[:, 1] * ab[:, 1] + ab[:, 2] * ab[:, 2]
+    ok = np.ones(len(pred), dtype=bool)
+    for r in env.privacy_regions:
+        ca = r.center.as_array() - pa
+        t = np.clip((ca[:, 0] * ab[:, 0] + ca[:, 1] * ab[:, 1] + ca[:, 2] * ab[:, 2]) / denom,
+                    0.0, 1.0)
+        ok &= _distances(pa + t[:, None] * ab, r.center) > r.c1
+    if env.known_obstacles:
+        for row in np.flatnonzero(ok):
+            ok[row] = not segment_blocked(env, Vec3.from_array(pa[row]),
+                                          Vec3.from_array(pb[row]))
+    return pred[ok], pa[ok], pb[ok]
+
+
+def _stage_costs(pa: np.ndarray, pb: np.ndarray, regions: Sequence[PrivacyRegion],
+                 n: int, delta: float) -> np.ndarray:
+    """Risk of each stage pa -> pb of duration delta: the trapezoid rule over
+    n + 1 evenly spaced samples, summed sample by sample."""
+    total = 0.0
+    prev = privacy_intensities(pa, regions)
+    for s in range(1, n + 1):
+        cur = privacy_intensities(pa + (s / n) * (pb - pa), regions)
+        total = total + 0.5 * (prev + cur)
+        prev = cur
+    return total * delta / n
+
+
+def default_t_max(p0: Vec3, pf: Vec3, v_max: float) -> float:
+    """Horizon used when a scenario gives none: twice the straight-line time."""
+    return 2.0 * p0.dist_to(pf) / v_max
+
+
+def dp_lattice_dims(env: Environment, anchor: Vec3, m_layers: int, t_max: float,
+                    v_max: float, pitch: Optional[float] = None,
+                    planar: bool = False) -> Tuple[np.ndarray, float, Tuple[int, int, int]]:
+    """Origin, pitch and node counts of the DP lattice anchored at `anchor`
+    over the bounds (one z layer, at the anchor, when planar). The default
+    pitch lets the lattice diagonal take one stage of t_max / m_layers at v_max.
+
+    Raises ValueError when m_layers < 1, when t_max or the pitch is not finite
+    and positive, or when nodes x (m_layers + 1) exceeds MAX_DP_STATES."""
+    if m_layers < 1:
+        raise ValueError("m_layers must be at least 1")
+    if not (math.isfinite(t_max) and t_max > 0):
+        raise ValueError(f"t_max must be finite and positive, got {t_max}")
+    if pitch is None:
+        pitch = v_max * (t_max / m_layers) / (math.sqrt(2.0) if planar else math.sqrt(3.0))
+    if not (math.isfinite(pitch) and pitch > 0):
+        raise ValueError(f"lattice pitch must be finite and positive, got {pitch}")
+    lo, hi = env.bounds.lo.as_array(), env.bounds.hi.as_array()
+    a = anchor.as_array()
+    k_lo = np.ceil((lo - a) / pitch - 1e-9)
+    k_hi = np.floor((hi - a) / pitch + 1e-9)
+    if planar:
+        k_lo[2] = k_hi[2] = 0
+    counts = np.maximum(k_hi - k_lo + 1, 0)
+    states = float(np.prod(counts)) * (m_layers + 1)
+    if states > MAX_DP_STATES:
+        raise ValueError(f"{states:.6g} DP states (lattice nodes x layers) exceed the "
+                         f"budget of {MAX_DP_STATES}")
+    return a + k_lo * pitch, pitch, tuple(int(c) for c in counts)
+
+
 def plan_privacy_dp(env: Environment, p0: Vec3, pf: Vec3, m_layers: int,
                     t_max: float, v_max: float, pitch: Optional[float] = None,
                     planar: bool = False, samples_per_stage: int = 16) -> PrivacyPlan:
@@ -186,25 +202,18 @@ def plan_privacy_dp(env: Environment, p0: Vec3, pf: Vec3, m_layers: int,
     The lattice is anchored at pf; p0 snaps to its nearest node. Each stage
     lasts delta = t_max / m_layers and moves along one of the 26 lattice
     directions (8 when planar) or holds; moves faster than v_max are pruned.
+    A node is feasible when it is collision-free and outside every c1 core;
+    a move between feasible nodes is feasible when its segment clears every
+    prism and every c1 core. Feasibility and stage costs depend on no layer,
+    so they are tabulated once per (node, move) before the backup, which then
+    takes each layer's minimum over moves in ascending flat-index order (ties
+    go to the smallest successor index).
     Raises Unreachable when p0 belongs to no reachable layer.
     """
-    if m_layers < 1:
-        raise ValueError("m_layers must be at least 1")
+    origin, pitch, dims = dp_lattice_dims(env, pf, m_layers, t_max, v_max, pitch, planar)
     delta = t_max / m_layers
-    if pitch is None:
-        pitch = v_max * delta / (math.sqrt(2.0) if planar else math.sqrt(3.0))
-
-    lo, hi = env.bounds.lo.as_array(), env.bounds.hi.as_array()
-    anchor = pf.as_array()
-    k_lo = np.ceil((lo - anchor) / pitch - 1e-9).astype(int)
-    k_hi = np.floor((hi - anchor) / pitch + 1e-9).astype(int)
-    if planar:
-        k_lo[2] = k_hi[2] = 0
-    dims = tuple(int(h - l) + 1 for l, h in zip(k_lo, k_hi))
-    origin = anchor + k_lo * pitch
     lattice = DpLattice(origin=origin, pitch=pitch, dims=dims, delta=delta,
                         m_layers=m_layers, offsets=_lattice_offsets(planar))
-    prob = _DpProblem(env, lattice, v_max, samples_per_stage)
 
     def snap(p: Vec3, label: str) -> int:
         idx = np.rint((p.as_array() - origin) / pitch).astype(int)
@@ -214,31 +223,47 @@ def plan_privacy_dp(env: Environment, p0: Vec3, pf: Vec3, m_layers: int,
 
     pf_flat = snap(pf, "target")
     p0_flat = snap(p0, "start")
-    if not prob.node_feasible(pf_flat) or not prob.node_feasible(p0_flat):
+    n_nodes = math.prod(dims)
+    idx = np.stack(np.unravel_index(np.arange(n_nodes), dims), axis=1)
+    points = origin + idx * pitch
+    regions = env.privacy_regions
+    node_ok = np.array([not is_collision(Vec3.from_array(p), env) for p in points], dtype=bool)
+    for r in regions:
+        node_ok &= _distances(points, r.center) > r.c1
+    if not node_ok[pf_flat] or not node_ok[p0_flat]:
         raise ValueError("start or target violates the hard constraints")
+
+    # Tables: column j holds move ks[j] from every node, in ascending flat delta.
+    offsets = lattice.offsets
+    speed_ok = np.linalg.norm(offsets * pitch, axis=1) <= v_max * delta * (1 + 1e-9)
+    flat_delta = offsets @ np.array([dims[1] * dims[2], dims[2], 1])
+    ks = sorted(np.flatnonzero(speed_ok).tolist(), key=lambda k: flat_delta[k])
+    succ = np.full((n_nodes, len(ks)), n_nodes)        # n_nodes: no move, V = inf
+    cost = np.zeros((n_nodes, len(ks)))
+    for j, k in enumerate(ks):
+        q_idx = idx + offsets[k]
+        pred = np.flatnonzero(node_ok & np.all((q_idx >= 0) & (q_idx < dims), axis=1))
+        pred = pred[node_ok[pred + flat_delta[k]]]
+        pa, pb = points[pred], points[pred + flat_delta[k]]
+        if k != 0:
+            pred, pa, pb = _clear_moves(env, pred, pa, pb)
+        succ[pred, j] = pred + flat_delta[k]
+        cost[pred, j] = _stage_costs(pa, pb, regions, samples_per_stage, delta)
 
     values: List[Dict[int, float]] = [dict() for _ in range(m_layers + 1)]
     moves: List[Dict[int, int]] = [dict() for _ in range(m_layers + 1)]
     values[m_layers][pf_flat] = 0.0
-    nx, ny, nz = dims
+    value = np.full(n_nodes + 1, math.inf)
+    value[pf_flat] = 0.0
+    nodes = np.arange(n_nodes)
+    move_of_column = np.array(ks)
     for i in range(m_layers - 1, -1, -1):
-        layer = values[i]
-        move_layer = moves[i]
-        for q in sorted(values[i + 1]):
-            v_next = values[i + 1][q]
-            qx, qy, qz = lattice.unflatten(q)
-            for k in prob.move_indices:
-                dx, dy, dz = lattice.offsets[k]
-                px, py, pz = qx - dx, qy - dy, qz - dz
-                if not (0 <= px < nx and 0 <= py < ny and 0 <= pz < nz):
-                    continue
-                pred = lattice.flat_of(px, py, pz)
-                if not prob.node_feasible(pred) or not prob.move_feasible(pred, q):
-                    continue
-                cand = v_next + prob.stage_cost(pred, q)
-                if cand < layer.get(pred, math.inf):
-                    layer[pred] = cand
-                    move_layer[pred] = k
+        cand = value[succ] + cost
+        col = cand.argmin(axis=1)
+        value[:n_nodes] = cand[nodes, col]
+        live = np.flatnonzero(value[:n_nodes] < math.inf)
+        values[i] = dict(zip(live.tolist(), value[live].tolist()))
+        moves[i] = dict(zip(live.tolist(), move_of_column[col[live]].tolist()))
     lattice.values = values
     lattice.moves = moves
 

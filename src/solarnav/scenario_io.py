@@ -13,6 +13,7 @@ from .control import AvoidanceParams, ControlLimits
 from .energy import BatteryState, ConsumptionParams, EnergyModel, HarvestModel, \
     HarvestParams
 from .grid import lattice_dims
+from .privacy import default_t_max, dp_lattice_dims
 from .simulate import MAX_SIM_STEPS, MovingObstacle, Scenario
 from .world import Box, Environment, Prism, PrivacyRegion, SunModel, Vec3
 
@@ -49,19 +50,48 @@ def _mapping(raw: Any, where: str) -> Dict[str, Any]:
     return raw
 
 
-def _finite(section: Dict[str, Any], where: str, default: float,
+def _list(raw: Any, where: str) -> list:
+    if not isinstance(raw, (list, tuple)):
+        raise ValidationError(where, f"expected a list, got {raw!r}")
+    return list(raw)
+
+
+def _real(raw: Any, where: str) -> float:
+    """`raw` as a finite float."""
+    try:
+        value = float(raw)
+    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: a huge int
+        raise ValidationError(where, str(exc)) from exc
+    if not math.isfinite(value):
+        raise ValidationError(where, f"must be finite, got {raw!r}")
+    return value
+
+
+def _integer(raw: Any, where: str) -> int:
+    """`raw` as an integer of at least 1."""
+    value = _real(raw, where)
+    if not (value.is_integer() and value >= 1):
+        raise ValidationError(where, f"must be an integer >= 1, got {raw!r}")
+    return int(value)
+
+
+def _finite(section: Dict[str, Any], where: str, default: Any,
             positive: bool = False) -> float:
     """The field of `section` named by the last part of `where`, as a finite
     float that is positive, or else nonnegative."""
     raw = section.get(where.rpartition(".")[2], default)
-    try:
-        value = float(raw)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(where, str(exc)) from exc
-    if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
+    value = _real(raw, where)
+    if not (value > 0 if positive else value >= 0):
         rule = "positive" if positive else "nonnegative"
         raise ValidationError(where, f"must be finite and {rule}, got {raw!r}")
     return value
+
+
+def _optional(section: Dict[str, Any], where: str, positive: bool = False) -> Optional[float]:
+    """Like `_finite`, but an absent or null field stays None."""
+    if section.get(where.rpartition(".")[2]) is None:
+        return None
+    return _finite(section, where, None, positive)
 
 
 def _build(cls, raw: Dict[str, Any], where: str, **converted):
@@ -81,27 +111,29 @@ def scenario_from_dict(data: Dict[str, Any]) -> Scenario:
                     lo=_vec(bounds_raw.get("min"), "world.bounds.min"),
                     hi=_vec(bounds_raw.get("max"), "world.bounds.max"))
     altitude = _mapping(world.get("altitude", {}), "world.altitude")
-    z_min = float(altitude.get("min", bounds.lo.z))
-    z_max = float(altitude.get("max", bounds.hi.z))
+    z_min = _real(altitude.get("min", bounds.lo.z), "world.altitude.min")
+    z_max = _real(altitude.get("max", bounds.hi.z), "world.altitude.max")
 
     prisms = []
-    for i, p in enumerate(world.get("prisms", [])):
+    for i, p in enumerate(_list(world.get("prisms", []), "world.prisms")):
         where = f"world.prisms[{i}]"
         p = _mapping(p, where)
+        axes = _list(p.get("semi_axes", ()), where + ".semi_axes")
+        exps = _list(p.get("exponents", (1, 1, 1)), where + ".exponents")
         prisms.append(_build(
             Prism, {}, where,
             center=_vec(p.get("center"), where + ".center"),
-            semi_axes=tuple(float(v) for v in p.get("semi_axes", ())),
-            exponents=tuple(int(v) for v in p.get("exponents", (1, 1, 1)))))
+            semi_axes=tuple(_real(v, f"{where}.semi_axes[{j}]") for j, v in enumerate(axes)),
+            exponents=tuple(_integer(v, f"{where}.exponents[{j}]") for j, v in enumerate(exps))))
 
     regions = []
-    for i, r in enumerate(world.get("privacy_regions", [])):
+    for i, r in enumerate(_list(world.get("privacy_regions", []), "world.privacy_regions")):
         where = f"world.privacy_regions[{i}]"
         r = _mapping(r, where)
         regions.append(_build(
             PrivacyRegion, {}, where,
             center=_vec(r.get("center"), where + ".center"),
-            c1=float(r.get("c1", 0.0)), c2=float(r.get("c2", 0.0))))
+            c1=_finite(r, where + ".c1", 0.0), c2=_finite(r, where + ".c2", 0.0)))
 
     sun_raw = _mapping(world.get("sun", {}), "world.sun")
     sun_pos = _vec(sun_raw.get("position", [0, 0, 10000]), "world.sun.position")
@@ -144,13 +176,13 @@ def scenario_from_dict(data: Dict[str, Any]) -> Scenario:
     avoidance = _build(AvoidanceParams, avoid_raw, "avoidance")
 
     obstacles = []
-    for i, o in enumerate(data.get("unknown_obstacles", [])):
+    for i, o in enumerate(_list(data.get("unknown_obstacles", []), "unknown_obstacles")):
         where = f"unknown_obstacles[{i}]"
         o = _mapping(o, where)
         obstacles.append(_build(
             MovingObstacle, {}, where,
             center=_vec(o.get("center"), where + ".center"),
-            radius=float(o.get("radius", 0.0)),
+            radius=_finite(o, where + ".radius", 0.0),
             velocity=_vec(o.get("velocity", [0, 0, 0]), where + ".velocity")))
 
     mission = _mapping(data.get("mission", {}), "mission")
@@ -164,6 +196,9 @@ def scenario_from_dict(data: Dict[str, Any]) -> Scenario:
         raise ValidationError("sim.dt", f"{max_duration / dt:.6g} steps exceed the budget "
                                         f"of {MAX_SIM_STEPS}")
     privacy_raw = _mapping(data.get("privacy", {}), "privacy")
+    m_layers = _integer(privacy_raw.get("m_layers", 12), "privacy.m_layers")
+    t_max = _optional(privacy_raw, "privacy.t_max", positive=True)
+    pitch = _optional(privacy_raw, "privacy.pitch", positive=True)
     try:
         sc = Scenario(
             env=env,
@@ -180,16 +215,13 @@ def scenario_from_dict(data: Dict[str, Any]) -> Scenario:
             grid_resolution=grid_resolution,
             grid_margin=grid_margin,
             planar_z=(None if mission.get("planar_z") is None
-                      else float(mission["planar_z"])),
-            arrival_radius=(None if sim_raw.get("arrival_radius") is None
-                            else float(sim_raw["arrival_radius"])),
+                      else _real(mission["planar_z"], "mission.planar_z")),
+            arrival_radius=_optional(sim_raw, "sim.arrival_radius"),
             lookahead=lookahead,
             name=str(data.get("name", "scenario")),
-            privacy_m_layers=int(privacy_raw.get("m_layers", 12)),
-            privacy_t_max=(None if privacy_raw.get("t_max") is None
-                           else float(privacy_raw["t_max"])),
-            privacy_pitch=(None if privacy_raw.get("pitch") is None
-                           else float(privacy_raw["pitch"])),
+            privacy_m_layers=m_layers,
+            privacy_t_max=t_max,
+            privacy_pitch=pitch,
         )
     except ValueError as exc:
         raise ValidationError("scenario", str(exc)) from exc
@@ -197,6 +229,13 @@ def scenario_from_dict(data: Dict[str, Any]) -> Scenario:
         lattice_dims(env, grid_resolution, sc.planar_z)
     except (ValueError, OverflowError) as exc:  # OverflowError: an axis past float range
         raise ValidationError("mission.grid_resolution", str(exc)) from exc
+    t_max = t_max if t_max is not None else default_t_max(sc.start, sc.goal, sc.limits.cruise)
+    if t_max > 0:  # a start on the goal has no default horizon and no lattice
+        try:
+            dp_lattice_dims(env, sc.goal, m_layers, t_max, sc.limits.cruise, pitch,
+                            sc.planar_z is not None)
+        except ValueError as exc:
+            raise ValidationError("privacy.pitch", str(exc)) from exc
     return sc
 
 

@@ -5,7 +5,9 @@ code under test: dense ray-marching instead of analytic minimization, doubling
 and bisection on Vec3 points instead of a closed-form bracket, dense
 resampling instead of arc-length walking, per-edge scalar evaluation instead
 of per-offset tables and a batched shadow mask, product-graph search instead
-of label-setting A*, and recursion/enumeration instead of layered DP tables.
+of label-setting A*, recursion/enumeration instead of layered DP tables, and
+a scalar per-(layer, node, move) DP instead of tables built once and backed up
+over whole layers.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ import numpy as np
 
 from solarnav import (EdgeCost, Environment, NavGrid, Prism, PrivacyRegion, Vec3,
                       consumption_energy, gamma, in_shadow, incidence_cosine,
-                      motion_segment)
-from solarnav.privacy import DpLattice, _DpProblem
+                      is_collision, motion_segment, segment_blocked)
+from solarnav.privacy import DpLattice
 
 
 def raymarch_segment_blocked(env: Environment, a: Vec3, b: Vec3,
@@ -174,7 +176,127 @@ def constrained_time_dijkstra(grid: NavGrid, capacity: float, floor: float,
     return None
 
 
-def dp_value_by_recursion(problem: _DpProblem, lattice: DpLattice,
+def _point_segment_distance(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
+    ab = b - a
+    denom = float(ab @ ab)
+    if denom == 0.0:
+        return float(np.linalg.norm(c - a))
+    t = float(np.clip((c - a) @ ab / denom, 0.0, 1.0))
+    return float(np.linalg.norm(c - (a + t * ab)))
+
+
+def _scalar_intensity(p: Vec3, region: PrivacyRegion) -> float:
+    d = p.dist_to(region.center)
+    if d >= region.c2:
+        return 0.0
+    if d <= region.c1:
+        return 1.0
+    return (d - region.c2) / (region.c1 - region.c2)
+
+
+class ReferenceDpProblem:
+    """Feasibility and stage cost of the privacy DP, one (node, move) at a
+    time on Vec3 points, with its own intensity and point-segment distance.
+    Answers are memoized per node and per move; they depend on no layer."""
+
+    def __init__(self, env: Environment, lattice: DpLattice, v_max: float,
+                 samples_per_stage: int):
+        self.env = env
+        self.lattice = lattice
+        self.samples = samples_per_stage
+        self._node_ok: Dict[int, bool] = {}
+        self._move_ok: Dict[Tuple[int, int], bool] = {}
+        self._cost: Dict[Tuple[int, int], float] = {}
+        move_len = np.linalg.norm(lattice.offsets * lattice.pitch, axis=1)
+        speed_ok = move_len <= v_max * lattice.delta * (1 + 1e-9)
+        self.move_indices = [k for k in range(lattice.offsets.shape[0]) if speed_ok[k]]
+
+    def node_feasible(self, flat: int) -> bool:
+        ok = self._node_ok.get(flat)
+        if ok is None:
+            p = self.lattice.node_point(flat)
+            ok = not is_collision(p, self.env) and all(
+                p.dist_to(r.center) > r.c1 for r in self.env.privacy_regions)
+            self._node_ok[flat] = ok
+        return ok
+
+    def move_feasible(self, a: int, b: int) -> bool:
+        """Whole constant-heading segment a -> b must respect hard constraints."""
+        if a == b:
+            return True
+        ok = self._move_ok.get((a, b))
+        if ok is None:
+            pa = self.lattice.node_point(a)
+            pb = self.lattice.node_point(b)
+            ok = not (self.env.known_obstacles and segment_blocked(self.env, pa, pb))
+            aa, bb = pa.as_array(), pb.as_array()
+            ok = ok and all(_point_segment_distance(r.center.as_array(), aa, bb) > r.c1
+                            for r in self.env.privacy_regions)
+            self._move_ok[(a, b)] = ok
+        return ok
+
+    def stage_cost(self, a: int, b: int) -> float:
+        """Risk accumulated over one stage of duration delta along a -> b."""
+        cost = self._cost.get((a, b))
+        if cost is None:
+            cost = self._stage_cost(a, b)
+            self._cost[(a, b)] = cost
+        return cost
+
+    def _stage_cost(self, a: int, b: int) -> float:
+        regions = self.env.privacy_regions
+        if not regions:
+            return 0.0
+        pa = self.lattice.node_point(a).as_array()
+        pb = self.lattice.node_point(b).as_array()
+        n = self.samples
+        total = 0.0
+        prev = self._intensity_at(pa, regions)
+        for s in range(1, n + 1):
+            pt = pa + (s / n) * (pb - pa)
+            cur = self._intensity_at(pt, regions)
+            total += 0.5 * (prev + cur)
+            prev = cur
+        return total * self.lattice.delta / n
+
+    @staticmethod
+    def _intensity_at(p: np.ndarray, regions: Sequence[PrivacyRegion]) -> float:
+        v = Vec3(float(p[0]), float(p[1]), float(p[2]))
+        return sum(_scalar_intensity(v, r) for r in regions)
+
+
+def reference_dp_tables(problem: ReferenceDpProblem, lattice: DpLattice, pf_flat: int
+                        ) -> Tuple[List[Dict[int, float]], List[Dict[int, int]]]:
+    """Layered value and move tables by the per-successor scalar loop: each
+    layer visits the reachable successors in ascending index and keeps the
+    first strictly cheaper predecessor move."""
+    m_layers = lattice.m_layers
+    nx, ny, nz = lattice.dims
+    values: List[Dict[int, float]] = [dict() for _ in range(m_layers + 1)]
+    moves: List[Dict[int, int]] = [dict() for _ in range(m_layers + 1)]
+    values[m_layers][pf_flat] = 0.0
+    for i in range(m_layers - 1, -1, -1):
+        layer = values[i]
+        move_layer = moves[i]
+        for q in sorted(values[i + 1]):
+            v_next = values[i + 1][q]
+            qx, qy, qz = lattice.unflatten(q)
+            for k in problem.move_indices:
+                dx, dy, dz = lattice.offsets[k]
+                px, py, pz = qx - dx, qy - dy, qz - dz
+                if not (0 <= px < nx and 0 <= py < ny and 0 <= pz < nz):
+                    continue
+                pred = lattice.flat_of(px, py, pz)
+                if not problem.node_feasible(pred) or not problem.move_feasible(pred, q):
+                    continue
+                cand = v_next + problem.stage_cost(pred, q)
+                if cand < layer.get(pred, math.inf):
+                    layer[pred] = cand
+                    move_layer[pred] = k
+    return values, moves
+
+
+def dp_value_by_recursion(problem: ReferenceDpProblem, lattice: DpLattice,
                           pf_flat: int) -> Dict[Tuple[int, int], float]:
     """Risk-to-go recomputed by top-down memoized recursion over (layer, node)."""
     moves = [tuple(lattice.offsets[k]) for k in problem.move_indices]
@@ -209,7 +331,7 @@ def dp_value_by_recursion(problem: _DpProblem, lattice: DpLattice,
     return out
 
 
-def dp_optimum_by_path_enumeration(problem: _DpProblem, lattice: DpLattice,
+def dp_optimum_by_path_enumeration(problem: ReferenceDpProblem, lattice: DpLattice,
                                    p0_flat: int, pf_flat: int) -> float:
     """Literal enumeration of every stage-by-stage trajectory (small instances).
 

@@ -32,12 +32,11 @@ from solarnav import (BatteryState, Box, ControlLimits, Environment, HarvestPara
                       plan_time_efficient, pursuit_command, pursuit_lookahead,
                       run_scenario, step_kinematics_planar)
 from solarnav.cli import main as cli_main
-from solarnav.privacy import _DpProblem
 from solarnav.reporting import plan_summary
 from solarnav.scenario_io import load_scenario
 
 from conftest import fork_env
-from oracles import dp_value_by_recursion
+from oracles import ReferenceDpProblem, dp_value_by_recursion
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -210,7 +209,7 @@ def test_criterion_5_privacy_dp():
                            20.0, pitch=20.0)
     lat = plan.lattice
     assert lat.dims == (9, 9, 3)
-    prob = _DpProblem(env, lat, 20.0, 16)
+    prob = ReferenceDpProblem(env, lat, 20.0, 16)
     oracle = dp_value_by_recursion(prob, lat, lat.flat_of(8, 8, 2))
     p0 = lat.flat_of(0, 0, 0)
     best = min(oracle[(i, p0)] for i in range(m) if (i, p0) in oracle)
@@ -240,7 +239,7 @@ def test_criterion_5_privacy_dp():
 def _lattice_shortest_risk(env, plan, p0: Vec3, pf: Vec3) -> float:
     """Minimum-distance route on the same DP lattice, risk-scored the same way."""
     lat = plan.lattice
-    prob = _DpProblem(env, lat, 10.0, 16)
+    prob = ReferenceDpProblem(env, lat, 10.0, 16)
 
     def flat_of_point(v: Vec3) -> int:
         idx = np.rint((v.as_array() - lat.origin) / lat.pitch).astype(int)

@@ -103,7 +103,13 @@ def test_plan_unknown_planner_usage_error(tmp_path):
     ("mission.grid_margin", float("inf")), ("mission.grid_margin", float("nan")),
     ("mission.grid_resolution", 1e-310), ("mission.lookahead", float("nan")),
     ("sim.dt", float("nan")), ("sim.dt", 1e-6), ("sim.max_duration", float("inf")),
-    ("battery.capacity", "abc"), ("world", []), ("world.prisms", [5]), ("sim", [])],
+    ("battery.capacity", "abc"), ("world", []), ("world.prisms", [5]), ("sim", []),
+    ("world.prisms", 5), ("world.privacy_regions", 5), ("unknown_obstacles", 5),
+    ("mission.planar_z", float("nan")), ("sim.arrival_radius", float("inf")),
+    ("world.altitude.min", "abc"),
+    ("privacy.m_layers", 0), ("privacy.m_layers", 2.7), ("privacy.m_layers", None),
+    ("privacy.t_max", float("nan")), ("privacy.t_max", 0), ("privacy.pitch", float("nan")),
+    ("privacy.pitch", 0), ("privacy.pitch", 0.5)],
     ids=lambda v: v.removeprefix("mission.") if isinstance(v, str) else None)
 def test_plan_rejects_bad_grid_parameters(tmp_path, field, value):
     """A malformed or over-budget field exits 2 and names its path."""
@@ -113,6 +119,29 @@ def test_plan_rejects_bad_grid_parameters(tmp_path, field, value):
     for name in sections:
         node = node.setdefault(name, {})
     node[key] = value
+    path = write(tmp_path, yaml.safe_dump(doc))
+    result = CliRunner().invoke(main, ["plan", "-s", path])
+    assert result.exit_code == 2, result.output
+    assert field in result.output
+
+
+@pytest.mark.parametrize("field, value", [
+    ("world.privacy_regions[0].c2", float("inf")), ("world.privacy_regions[0].c1", "abc"),
+    ("world.privacy_regions[0].c1", float("nan")), ("world.prisms[0].semi_axes", 5),
+    ("world.prisms[0].semi_axes", [float("nan"), 28, 90]),
+    ("world.prisms[0].exponents", [2.5, 2, 2]), ("unknown_obstacles[0].radius", "abc")])
+def test_plan_rejects_bad_list_entries(tmp_path, field, value):
+    """A malformed field of a prism, privacy region or obstacle exits 2 and
+    names its path, index included."""
+    doc = yaml.safe_load(MINIMAL)
+    doc["world"]["prisms"] = [{"center": [100, 40, 60], "semi_axes": [20, 20, 60]}]
+    doc["world"]["privacy_regions"] = [{"center": [100, 160, 60], "c1": 5, "c2": 30}]
+    doc["unknown_obstacles"] = [{"center": [100, 100, 60], "radius": 5}]
+    section, rest = field.split("[0].")
+    node = doc
+    for name in section.split("."):
+        node = node[name]
+    node[0][rest] = value
     path = write(tmp_path, yaml.safe_dump(doc))
     result = CliRunner().invoke(main, ["plan", "-s", path])
     assert result.exit_code == 2, result.output

@@ -6,13 +6,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import solarnav.privacy as privacy_mod
-from solarnav import (Box, Environment, PrivacyRegion, SunModel, Unreachable,
+from solarnav import (Box, DpLattice, Environment, Prism, PrivacyRegion, SunModel, Unreachable,
                       Vec3, plan_privacy_dp, privacy_intensity, total_privacy_risk)
-from solarnav.privacy import _DpProblem
-
-from oracles import dp_optimum_by_path_enumeration, dp_value_by_recursion, riemann_risk
+from oracles import (ReferenceDpProblem, dp_optimum_by_path_enumeration,
+                     dp_value_by_recursion, reference_dp_tables, riemann_risk)
 
 REGION = PrivacyRegion(Vec3(0, 0, 0), 10.0, 40.0)
 
@@ -133,7 +134,7 @@ def test_dp_matches_recursive_oracle_9x9x3():
                            m * 2.0, 20.0, pitch=20.0)
     lat = plan.lattice
     assert lat.dims == (9, 9, 3)
-    prob = _DpProblem(env, lat, 20.0, 16)
+    prob = ReferenceDpProblem(env, lat, 20.0, 16)
     pf_flat = lat.flat_of(8, 8, 2)
     oracle = dp_value_by_recursion(prob, lat, pf_flat)
     stored = {(i, n): v for i in range(m + 1) for n, v in lat.values[i].items()}
@@ -155,7 +156,7 @@ def test_dp_matches_literal_enumeration_small():
     plan = plan_privacy_dp(env, Vec3(0, 40, 20), Vec3(80, 40, 20), m, m * 2.0,
                            15.0, pitch=20.0, planar=True)
     lat = plan.lattice
-    prob = _DpProblem(env, lat, 15.0, 16)
+    prob = ReferenceDpProblem(env, lat, 15.0, 16)
     p0 = lat.flat_of(0, 2, 0)
     pf = lat.flat_of(4, 2, 0)
     brute = dp_optimum_by_path_enumeration(prob, lat, p0, pf)
@@ -171,7 +172,7 @@ def test_dp_table_self_consistency_audit():
     plan = plan_privacy_dp(env, Vec3(0, 60, 20), Vec3(120, 60, 20), m, m * 2.0,
                            15.0, pitch=20.0, planar=True)
     lat = plan.lattice
-    prob = _DpProblem(env, lat, 15.0, 16)
+    prob = ReferenceDpProblem(env, lat, 15.0, 16)
     nx, ny, nz = lat.dims
     for i in range(m):
         for node, value in lat.values[i].items():
@@ -204,9 +205,9 @@ def test_dp_scaling_invariance(monkeypatch):
     env = flat_env(regions=[region])
     args = (env, Vec3(20, 100, 20), Vec3(140, 100, 20), 12, 48.0, 10.0)
     base = plan_privacy_dp(*args, pitch=20.0, planar=True)
-    original = privacy_mod.privacy_intensity
-    monkeypatch.setattr(privacy_mod, "privacy_intensity",
-                        lambda p, r: 0.5 * original(p, r))
+    original = privacy_mod.privacy_intensities
+    monkeypatch.setattr(privacy_mod, "privacy_intensities",
+                        lambda points, regions: 0.5 * original(points, regions))
     scaled = plan_privacy_dp(*args, pitch=20.0, planar=True)
     assert [p.as_tuple() for _, p in base.trajectory] == \
         [p.as_tuple() for _, p in scaled.trajectory]
@@ -223,3 +224,145 @@ def test_dp_hard_constraints_respected():
         assert p.dist_to(region.center) > region.c1
         assert env.bounds.contains(p)
     assert plan.risk > 0.0  # the wide shell cannot be fully avoided in time
+
+
+def _reference_plan(values, moves, lat, p0_flat):
+    """Risk and node trajectory read off reference tables the way the planner
+    reads its own: the cheapest start layer, the latest among equals."""
+    reachable = [i for i in range(lat.m_layers) if p0_flat in values[i]]
+    if not reachable:
+        return None, None
+    best = min(values[i][p0_flat] for i in reachable)
+    i0 = max(i for i in reachable if values[i][p0_flat] == best)
+    node, nodes = p0_flat, [p0_flat]
+    for i in range(i0, lat.m_layers):
+        ix, iy, iz = lat.unflatten(node)
+        dx, dy, dz = lat.offsets[moves[i][node]]
+        node = lat.flat_of(ix + dx, iy + dy, iz + dz)
+        nodes.append(node)
+    return best, [lat.node_point(n).as_tuple() for n in nodes]
+
+
+_unit = st.tuples(*[st.floats(0.0, 1.0)] * 3)  # a center as a fraction of the bounds
+_region = st.tuples(_unit, st.floats(2.0, 15.0), st.floats(5.0, 60.0))
+_prism = st.tuples(_unit, st.tuples(*[st.floats(4.0, 25.0)] * 3),
+                   st.sampled_from([(1, 1, 1), (2, 2, 2), (2, 1, 3)]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(dims=st.tuples(st.integers(2, 5), st.integers(2, 5), st.integers(1, 3)),
+       m=st.integers(3, 8), v_max=st.sampled_from([10.0, 15.0, 20.0]),
+       stage=st.sampled_from([2.0, 2.3, 3.1]), pitch=st.sampled_from([20.0, 13.7]),
+       regions=st.lists(_region, max_size=3), prisms=st.lists(_prism, max_size=2),
+       ends=st.tuples(*[st.integers(0, 4)] * 6))
+def test_dp_tables_match_scalar_reference(dims, m, v_max, stage, pitch, regions, prisms,
+                                          ends):
+    """Values, moves, risk and trajectory equal the per-(layer, node, move)
+    scalar DP exactly, on planar (nz = 1) and 3D lattices. The stage length
+    decides which moves are fast enough; a pitch of 13.7 m puts the samples
+    off the dyadic grid that 20 m and 16 samples per stage stay on."""
+    t_max = m * stage
+    nx, ny, nz = dims
+    planar = nz == 1
+    z_base = 20.0 if planar else 0.0
+    hi = (pitch * (nx - 1), pitch * (ny - 1), 40.0 if planar else pitch * (nz - 1))
+
+    def at(unit):
+        return Vec3(*(u * h for u, h in zip(unit, hi)))
+
+    env = Environment(bounds=Box(Vec3(0, 0, 0), Vec3(*hi)),
+                      known_obstacles=tuple(Prism(at(c), a, e) for c, a, e in prisms),
+                      privacy_regions=tuple(PrivacyRegion(at(c), c1, c1 + w)
+                                            for c, c1, w in regions),
+                      sun=SunModel(Vec3(40, 40, 5000.0)), z_min=0.0, z_max=hi[2])
+    zs = (0, 0) if planar else (ends[2] % nz, ends[5] % nz)
+    p0_idx = (ends[0] % nx, ends[1] % ny, zs[0])
+    pf_idx = (ends[3] % nx, ends[4] % ny, zs[1])
+    p0, pf = (Vec3(pitch * ix, pitch * iy, z_base + pitch * iz)
+              for ix, iy, iz in (p0_idx, pf_idx))
+    lat = DpLattice(origin=np.array([0.0, 0.0, z_base]), pitch=pitch, dims=dims,
+                    delta=t_max / m, m_layers=m, offsets=privacy_mod._lattice_offsets(planar))
+    prob = ReferenceDpProblem(env, lat, v_max, 16)
+    p0_flat, pf_flat = lat.flat_of(*p0_idx), lat.flat_of(*pf_idx)
+    values, moves = reference_dp_tables(prob, lat, pf_flat)
+    risk, nodes = _reference_plan(values, moves, lat, p0_flat)
+    args = (env, p0, pf, m, t_max, v_max)
+    if not (prob.node_feasible(p0_flat) and prob.node_feasible(pf_flat)):
+        with pytest.raises(ValueError, match="hard constraints"):
+            plan_privacy_dp(*args, pitch=pitch, planar=planar)
+        return
+    if risk is None:
+        with pytest.raises(Unreachable):
+            plan_privacy_dp(*args, pitch=pitch, planar=planar)
+        return
+    plan = plan_privacy_dp(*args, pitch=pitch, planar=planar)
+    assert plan.lattice.dims == dims
+    assert plan.lattice.origin.tolist() == lat.origin.tolist()
+    assert plan.lattice.values == values
+    assert plan.lattice.moves == moves
+    assert plan.risk == risk
+    assert [p.as_tuple() for _, p in plan.trajectory] == nodes
+
+
+def test_dp_tie_goes_to_smallest_successor_index():
+    """A core on the straight line leaves two mirror-image detours whose
+    stage costs are bit-identical; the move toward the successor with the
+    smaller flat index (y = 0, not y = 40) is kept, as in the reference."""
+    region = PrivacyRegion(Vec3(20, 20, 20), 5.0, 30.0)
+    env = flat_env(size=40.0, regions=[region])
+    plan = plan_privacy_dp(env, Vec3(0, 20, 20), Vec3(40, 20, 20), 2, 4.0, 20.0,
+                           pitch=20.0, planar=True)
+    lat = plan.lattice
+    prob = ReferenceDpProblem(env, lat, 20.0, 16)
+    down, up = lat.flat_of(1, 0, 0), lat.flat_of(1, 2, 0)
+    start, goal = lat.flat_of(0, 1, 0), lat.flat_of(2, 1, 0)
+    assert lat.values[1][down] == lat.values[1][up] > 0.0
+    assert prob.stage_cost(start, down) == prob.stage_cost(start, up)
+    assert tuple(lat.offsets[lat.moves[0][start]]) == (1, -1, 0)
+    assert [p.as_tuple() for _, p in plan.trajectory] == \
+        [(0.0, 20.0, 20.0), (20.0, 0.0, 20.0), (40.0, 20.0, 20.0)]
+    assert (lat.values, lat.moves) == reference_dp_tables(prob, lat, goal)
+
+
+def test_dp_tests_each_move_segment_once(monkeypatch):
+    """The prism test runs once per directed non-hold move between feasible
+    nodes, however many layers the DP has."""
+    prisms = (Prism(Vec3(60, 50, 20), (12.0, 25.0, 30.0), (2, 2, 2)),
+              Prism(Vec3(20, 90, 20), (8.0, 8.0, 30.0), (1, 1, 1)))
+    env = flat_env(size=120.0, prisms=prisms)
+    calls = []
+    original = privacy_mod.segment_blocked
+    monkeypatch.setattr(privacy_mod, "segment_blocked",
+                        lambda *args: calls.append(args) or original(*args))
+    counts = []
+    for m in (6, 12):
+        calls.clear()
+        plan = plan_privacy_dp(env, Vec3(0, 60, 20), Vec3(120, 60, 20), m, 2.0 * m,
+                               15.0, pitch=20.0, planar=True)
+        counts.append(len(calls))
+    lat = plan.lattice
+    prob = ReferenceDpProblem(env, lat, 15.0, 16)
+    nx, ny, nz = lat.dims
+    expected = 0
+    for node in range(nx * ny * nz):
+        ix, iy, iz = lat.unflatten(node)
+        for k in prob.move_indices[1:]:
+            dx, dy, dz = lat.offsets[k]
+            if (0 <= ix + dx < nx and 0 <= iy + dy < ny and 0 <= iz + dz < nz
+                    and prob.node_feasible(node)
+                    and prob.node_feasible(lat.flat_of(ix + dx, iy + dy, iz + dz))):
+                expected += 1
+    assert counts == [expected, expected]
+    assert expected > 0
+
+
+def test_dp_state_budget_rejects_before_tables(monkeypatch):
+    """A lattice over MAX_DP_STATES raises before any node is tested."""
+    monkeypatch.setattr(privacy_mod, "is_collision",
+                        lambda *_args: pytest.fail("node tested"))
+    env = flat_env()
+    with pytest.raises(ValueError, match="budget"):
+        plan_privacy_dp(env, Vec3(20, 100, 20), Vec3(140, 100, 20), 12, 48.0, 10.0,
+                        pitch=0.5)
+    with pytest.raises(ValueError, match="t_max"):
+        plan_privacy_dp(env, Vec3(20, 100, 20), Vec3(140, 100, 20), 12, 0.0, 10.0)
