@@ -16,7 +16,8 @@ from . import __version__
 from .grid import EmptyGrid, build_grid  # noqa: F401
 from .planning import NoPath, NodeInObstacle, \
     plan_energy_efficient, plan_shortest, plan_time_efficient  # noqa: F401
-from .privacy import Unreachable, default_t_max, plan_privacy_dp, total_privacy_risk
+from .privacy import DpBudgetExceeded, Unreachable, default_t_max, plan_privacy_dp, \
+    total_privacy_risk
 from .reporting import plan_summary, report_text, write_plan_csv, write_report, \
     write_trajectory_csv
 from .scenario_io import ParseError, ValidationError, load_scenario, scenario_digest
@@ -43,9 +44,12 @@ def _plan_privacy(sc):
     t_max = sc.privacy_t_max
     if t_max is None:
         t_max = default_t_max(sc.start, sc.goal, sc.limits.cruise)
-    return plan_privacy_dp(sc.env, sc.start, sc.goal, sc.privacy_m_layers,
-                           t_max, sc.limits.cruise, pitch=sc.privacy_pitch,
-                           planar=sc.planar_z is not None)
+    try:
+        return plan_privacy_dp(sc.env, sc.start, sc.goal, sc.privacy_m_layers,
+                               t_max, sc.limits.cruise, pitch=sc.privacy_pitch,
+                               planar=sc.planar_z is not None)
+    except DpBudgetExceeded as exc:  # a scenario error, raised before any table exists
+        raise click.UsageError(f"invalid scenario {sc.name!r}: privacy.pitch: {exc}")
 
 
 @click.group()

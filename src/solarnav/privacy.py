@@ -12,11 +12,15 @@ import numpy as np
 from .world import Environment, PrivacyRegion, Vec3, is_collision, segment_blocked
 
 
-MAX_DP_STATES = 1_000_000  # nodes x (m_layers + 1); the tables peak near 1.2 kB per node
+MAX_DP_STATES = 1_000_000  # nodes within m_layers steps of pf x (m_layers + 1)
 
 
 class Unreachable(Exception):
     """No feasible trajectory reaches the target within the time horizon."""
+
+
+class DpBudgetExceeded(ValueError):
+    """The DP lattice asks for more states than MAX_DP_STATES."""
 
 
 def _distances(points: np.ndarray, center: Vec3) -> np.ndarray:
@@ -163,6 +167,14 @@ def default_t_max(p0: Vec3, pf: Vec3, v_max: float) -> float:
     return 2.0 * p0.dist_to(pf) / v_max
 
 
+def _reach_box(center: np.ndarray, dims: np.ndarray,
+               m_layers: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Index bounds [lo, hi) of the lattice nodes within m_layers Chebyshev
+    steps of `center`. A move changes each index by at most one, so no node
+    outside them reaches the center within m_layers stages."""
+    return np.maximum(center - m_layers, 0), np.minimum(center + m_layers + 1, dims)
+
+
 def dp_lattice_dims(env: Environment, anchor: Vec3, m_layers: int, t_max: float,
                     v_max: float, pitch: Optional[float] = None,
                     planar: bool = False) -> Tuple[np.ndarray, float, Tuple[int, int, int]]:
@@ -170,8 +182,10 @@ def dp_lattice_dims(env: Environment, anchor: Vec3, m_layers: int, t_max: float,
     over the bounds (one z layer, at the anchor, when planar). The default
     pitch lets the lattice diagonal take one stage of t_max / m_layers at v_max.
 
-    Raises ValueError when m_layers < 1, when t_max or the pitch is not finite
-    and positive, or when nodes x (m_layers + 1) exceeds MAX_DP_STATES."""
+    Raises ValueError when m_layers < 1 or when t_max or the pitch is not
+    finite and positive, and DpBudgetExceeded when the nodes within m_layers
+    steps of the anchor, times m_layers + 1, exceed MAX_DP_STATES or the
+    lattice has too many nodes for int64 flat indices."""
     if m_layers < 1:
         raise ValueError("m_layers must be at least 1")
     if not (math.isfinite(t_max) and t_max > 0):
@@ -187,11 +201,24 @@ def dp_lattice_dims(env: Environment, anchor: Vec3, m_layers: int, t_max: float,
     if planar:
         k_lo[2] = k_hi[2] = 0
     counts = np.maximum(k_hi - k_lo + 1, 0)
-    states = float(np.prod(counts)) * (m_layers + 1)
+    nodes = math.prod(counts.tolist())
+    if not nodes < 2.0 ** 63:
+        raise DpBudgetExceeded(f"a lattice of {nodes:.6g} nodes at pitch {pitch:.6g} "
+                               f"has no int64 flat index")
+    box_lo, box_hi = _reach_box(-k_lo, counts, m_layers)
+    states = math.prod(np.maximum(box_hi - box_lo, 0).tolist()) * (m_layers + 1)
     if states > MAX_DP_STATES:
-        raise ValueError(f"{states:.6g} DP states (lattice nodes x layers) exceed the "
-                         f"budget of {MAX_DP_STATES}")
+        raise DpBudgetExceeded(f"{states:.6g} DP states (lattice nodes within m_layers steps "
+                               f"of the target x layers) exceed the budget of {MAX_DP_STATES}")
     return a + k_lo * pitch, pitch, tuple(int(c) for c in counts)
+
+
+def _nodes_ok(env: Environment, points: np.ndarray) -> np.ndarray:
+    """Which (N, 3) points are collision-free and outside every c1 core."""
+    ok = np.array([not is_collision(Vec3.from_array(p), env) for p in points], dtype=bool)
+    for r in env.privacy_regions:
+        ok &= _distances(points, r.center) > r.c1
+    return ok
 
 
 def plan_privacy_dp(env: Environment, p0: Vec3, pf: Vec3, m_layers: int,
@@ -206,8 +233,10 @@ def plan_privacy_dp(env: Environment, p0: Vec3, pf: Vec3, m_layers: int,
     a move between feasible nodes is feasible when its segment clears every
     prism and every c1 core. Feasibility and stage costs depend on no layer,
     so they are tabulated once per (node, move) before the backup, which then
-    takes each layer's minimum over moves in ascending flat-index order (ties
-    go to the smallest successor index).
+    takes each layer's minimum over moves in ascending successor index (ties
+    go to the smallest successor index). Only nodes within m_layers steps of
+    pf, and moves into nodes within m_layers - 1 steps, are tabulated: no
+    other node or move lies on a path that reaches pf in time.
     Raises Unreachable when p0 belongs to no reachable layer.
     """
     origin, pitch, dims = dp_lattice_dims(env, pf, m_layers, t_max, v_max, pitch, planar)
@@ -215,46 +244,53 @@ def plan_privacy_dp(env: Environment, p0: Vec3, pf: Vec3, m_layers: int,
     lattice = DpLattice(origin=origin, pitch=pitch, dims=dims, delta=delta,
                         m_layers=m_layers, offsets=_lattice_offsets(planar))
 
-    def snap(p: Vec3, label: str) -> int:
+    def snap(p: Vec3, label: str) -> np.ndarray:
         idx = np.rint((p.as_array() - origin) / pitch).astype(int)
         if not all(0 <= idx[i] < dims[i] for i in range(3)):
             raise ValueError(f"{label} {p.as_tuple()} outside the DP lattice")
-        return lattice.flat_of(int(idx[0]), int(idx[1]), int(idx[2]))
+        return idx
 
-    pf_flat = snap(pf, "target")
-    p0_flat = snap(p0, "start")
-    n_nodes = math.prod(dims)
-    idx = np.stack(np.unravel_index(np.arange(n_nodes), dims), axis=1)
-    points = origin + idx * pitch
-    regions = env.privacy_regions
-    node_ok = np.array([not is_collision(Vec3.from_array(p), env) for p in points], dtype=bool)
-    for r in regions:
-        node_ok &= _distances(points, r.center) > r.c1
-    if not node_ok[pf_flat] or not node_ok[p0_flat]:
+    pf_idx = snap(pf, "target")
+    p0_idx = snap(p0, "start")
+    if not _nodes_ok(env, origin + np.array([pf_idx, p0_idx]) * pitch).all():
         raise ValueError("start or target violates the hard constraints")
 
-    # Tables: column j holds move ks[j] from every node, in ascending flat delta.
+    # The reach box around pf, indexed locally in the same (x, y, z) order.
+    box_lo, box_hi = _reach_box(pf_idx, np.array(dims), m_layers)
+    box = tuple((box_hi - box_lo).tolist())
+    n_nodes = math.prod(box)
+    idx = box_lo + np.stack(np.unravel_index(np.arange(n_nodes), box), axis=1)
+    points = origin + idx * pitch
+    node_ok = _nodes_ok(env, points)
+    into_ok = node_ok & (np.abs(idx - pf_idx).max(axis=1) < m_layers)
+    regions = env.privacy_regions
+
+    # Tables: column j holds move ks[j] from every node. Columns ascend in
+    # offset (dx, dy, dz), so each node's successors ascend in flat index.
     offsets = lattice.offsets
     speed_ok = np.linalg.norm(offsets * pitch, axis=1) <= v_max * delta * (1 + 1e-9)
-    flat_delta = offsets @ np.array([dims[1] * dims[2], dims[2], 1])
-    ks = sorted(np.flatnonzero(speed_ok).tolist(), key=lambda k: flat_delta[k])
+    ks = sorted(np.flatnonzero(speed_ok).tolist(), key=lambda k: tuple(offsets[k]))
+    box_delta = offsets @ np.array([box[1] * box[2], box[2], 1])
     succ = np.full((n_nodes, len(ks)), n_nodes)        # n_nodes: no move, V = inf
     cost = np.zeros((n_nodes, len(ks)))
     for j, k in enumerate(ks):
         q_idx = idx + offsets[k]
-        pred = np.flatnonzero(node_ok & np.all((q_idx >= 0) & (q_idx < dims), axis=1))
-        pred = pred[node_ok[pred + flat_delta[k]]]
-        pa, pb = points[pred], points[pred + flat_delta[k]]
+        pred = np.flatnonzero(node_ok & np.all((q_idx >= box_lo) & (q_idx < box_hi), axis=1))
+        pred = pred[into_ok[pred + box_delta[k]]]
+        pa, pb = points[pred], points[pred + box_delta[k]]
         if k != 0:
             pred, pa, pb = _clear_moves(env, pred, pa, pb)
-        succ[pred, j] = pred + flat_delta[k]
+        succ[pred, j] = pred + box_delta[k]
         cost[pred, j] = _stage_costs(pa, pb, regions, samples_per_stage, delta)
 
     values: List[Dict[int, float]] = [dict() for _ in range(m_layers + 1)]
     moves: List[Dict[int, int]] = [dict() for _ in range(m_layers + 1)]
+    pf_flat = lattice.flat_of(*pf_idx.tolist())
+    p0_flat = lattice.flat_of(*p0_idx.tolist())
     values[m_layers][pf_flat] = 0.0
+    flat = idx @ np.array([dims[1] * dims[2], dims[2], 1])
     value = np.full(n_nodes + 1, math.inf)
-    value[pf_flat] = 0.0
+    value[np.ravel_multi_index(pf_idx - box_lo, box)] = 0.0
     nodes = np.arange(n_nodes)
     move_of_column = np.array(ks)
     for i in range(m_layers - 1, -1, -1):
@@ -262,8 +298,8 @@ def plan_privacy_dp(env: Environment, p0: Vec3, pf: Vec3, m_layers: int,
         col = cand.argmin(axis=1)
         value[:n_nodes] = cand[nodes, col]
         live = np.flatnonzero(value[:n_nodes] < math.inf)
-        values[i] = dict(zip(live.tolist(), value[live].tolist()))
-        moves[i] = dict(zip(live.tolist(), move_of_column[col[live]].tolist()))
+        values[i] = dict(zip(flat[live].tolist(), value[live].tolist()))
+        moves[i] = dict(zip(flat[live].tolist(), move_of_column[col[live]].tolist()))
     lattice.values = values
     lattice.moves = moves
 

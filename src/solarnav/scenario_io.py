@@ -229,13 +229,16 @@ def scenario_from_dict(data: Dict[str, Any]) -> Scenario:
         lattice_dims(env, grid_resolution, sc.planar_z)
     except (ValueError, OverflowError) as exc:  # OverflowError: an axis past float range
         raise ValidationError("mission.grid_resolution", str(exc)) from exc
-    t_max = t_max if t_max is not None else default_t_max(sc.start, sc.goal, sc.limits.cruise)
-    if t_max > 0:  # a start on the goal has no default horizon and no lattice
-        try:
-            dp_lattice_dims(env, sc.goal, m_layers, t_max, sc.limits.cruise, pitch,
-                            sc.planar_z is not None)
-        except ValueError as exc:
-            raise ValidationError("privacy.pitch", str(exc)) from exc
+    # The default lattice follows the mission length, so only the DP checks it.
+    if t_max is not None or pitch is not None:
+        horizon = t_max if t_max is not None else default_t_max(sc.start, sc.goal,
+                                                                sc.limits.cruise)
+        if horizon > 0:  # a start on the goal has no default horizon and no lattice
+            try:
+                dp_lattice_dims(env, sc.goal, m_layers, horizon, sc.limits.cruise, pitch,
+                                sc.planar_z is not None)
+            except ValueError as exc:
+                raise ValidationError("privacy.pitch", str(exc)) from exc
     return sc
 
 

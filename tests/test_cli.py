@@ -109,7 +109,7 @@ def test_plan_unknown_planner_usage_error(tmp_path):
     ("world.altitude.min", "abc"),
     ("privacy.m_layers", 0), ("privacy.m_layers", 2.7), ("privacy.m_layers", None),
     ("privacy.t_max", float("nan")), ("privacy.t_max", 0), ("privacy.pitch", float("nan")),
-    ("privacy.pitch", 0), ("privacy.pitch", 0.5)],
+    ("privacy.pitch", 0), ("privacy.pitch", 1e-300)],
     ids=lambda v: v.removeprefix("mission.") if isinstance(v, str) else None)
 def test_plan_rejects_bad_grid_parameters(tmp_path, field, value):
     """A malformed or over-budget field exits 2 and names its path."""
@@ -160,6 +160,30 @@ def test_oversized_lattice_rejected_before_any_grid(tmp_path, monkeypatch):
     result = CliRunner().invoke(main, ["plan", "-s", path])
     assert result.exit_code == 2, result.output
     assert "mission.grid_resolution" in result.output
+
+
+def test_dp_budget_is_checked_where_the_dp_runs(tmp_path, monkeypatch):
+    """A 50 m section4 mission with 40 layers has a default DP lattice far
+    over the state budget. Commands without the DP load and run it; the
+    privacy planner exits 2 naming privacy.pitch before testing any node. An
+    explicit pitch is checked at load."""
+    doc = section4_preset()
+    doc["mission"]["goal"] = [90, 180, 40]
+    doc["privacy"] = {"m_layers": 40}
+    path = write(tmp_path, yaml.safe_dump(doc))
+    for args in (["simulate"], ["plan", "-p", "energy"], ["compare", "-p", "energy,time"]):
+        result = CliRunner().invoke(main, args + ["-s", path])
+        assert result.exit_code == 0, result.output
+    monkeypatch.setattr("solarnav.privacy.is_collision",
+                        lambda *_args: pytest.fail("node tested"))
+    for args in (["plan", "-p", "privacy"], ["compare", "-p", "energy,privacy"]):
+        result = CliRunner().invoke(main, args + ["-s", path])
+        assert result.exit_code == 2, result.output
+        assert "privacy.pitch" in result.output and "budget" in result.output
+    doc["privacy"]["pitch"] = 1.0
+    result = CliRunner().invoke(main, ["plan", "-s", write(tmp_path, yaml.safe_dump(doc))])
+    assert result.exit_code == 2, result.output
+    assert "privacy.pitch" in result.output and "budget" in result.output
 
 
 def test_plan_failure_exits_one(tmp_path):

@@ -200,11 +200,14 @@ def test_dp_unreachable_when_horizon_too_short():
 
 
 def test_dp_scaling_invariance(monkeypatch):
-    """Halving every intensity halves the risk but not the chosen nodes."""
-    region = PrivacyRegion(Vec3(80, 108, 20), 6.0, 40.0)
+    """Halving every intensity halves the risk but not the chosen nodes. The
+    shell reaches further than any detour the horizon allows, so the risk is
+    positive and the patch on the one intensity owner shows in it."""
+    region = PrivacyRegion(Vec3(80, 108, 20), 6.0, 90.0)
     env = flat_env(regions=[region])
     args = (env, Vec3(20, 100, 20), Vec3(140, 100, 20), 12, 48.0, 10.0)
     base = plan_privacy_dp(*args, pitch=20.0, planar=True)
+    assert base.risk > 0.0
     original = privacy_mod.privacy_intensities
     monkeypatch.setattr(privacy_mod, "privacy_intensities",
                         lambda points, regions: 0.5 * original(points, regions))
@@ -251,14 +254,15 @@ _prism = st.tuples(_unit, st.tuples(*[st.floats(4.0, 25.0)] * 3),
 
 @settings(max_examples=30, deadline=None)
 @given(dims=st.tuples(st.integers(2, 5), st.integers(2, 5), st.integers(1, 3)),
-       m=st.integers(3, 8), v_max=st.sampled_from([10.0, 15.0, 20.0]),
+       m=st.integers(1, 8), v_max=st.sampled_from([10.0, 15.0, 20.0]),
        stage=st.sampled_from([2.0, 2.3, 3.1]), pitch=st.sampled_from([20.0, 13.7]),
        regions=st.lists(_region, max_size=3), prisms=st.lists(_prism, max_size=2),
        ends=st.tuples(*[st.integers(0, 4)] * 6))
 def test_dp_tables_match_scalar_reference(dims, m, v_max, stage, pitch, regions, prisms,
                                           ends):
     """Values, moves, risk and trajectory equal the per-(layer, node, move)
-    scalar DP exactly, on planar (nz = 1) and 3D lattices. The stage length
+    scalar DP exactly, on planar (nz = 1) and 3D lattices, with horizons
+    shorter and longer than the lattice is wide. The stage length
     decides which moves are fast enough; a pitch of 13.7 m puts the samples
     off the dyadic grid that 20 m and 16 samples per stage stay on."""
     t_max = m * stage
@@ -324,45 +328,71 @@ def test_dp_tie_goes_to_smallest_successor_index():
     assert (lat.values, lat.moves) == reference_dp_tables(prob, lat, goal)
 
 
+def _moves_into_reach(prob, lat, pf_flat, m):
+    """Nodes within m steps of pf, and directed non-hold moves between
+    feasible nodes into a node within m - 1 steps of pf, by brute force."""
+    nx, ny, nz = lat.dims
+    target = lat.unflatten(pf_flat)
+    nodes = moves = 0
+    for node in range(nx * ny * nz):
+        here = lat.unflatten(node)
+        nodes += max(abs(a - b) for a, b in zip(here, target)) <= m
+        for k in prob.move_indices[1:]:
+            q = tuple(int(a + d) for a, d in zip(here, lat.offsets[k]))
+            if (all(0 <= c < n for c, n in zip(q, lat.dims))
+                    and max(abs(a - b) for a, b in zip(q, target)) < m
+                    and prob.node_feasible(node) and prob.node_feasible(lat.flat_of(*q))):
+                moves += 1
+    return nodes, moves
+
+
 def test_dp_tests_each_move_segment_once(monkeypatch):
     """The prism test runs once per directed non-hold move between feasible
-    nodes, however many layers the DP has."""
+    nodes into the nodes within m_layers - 1 steps of the target, and the
+    node test once per node within m_layers steps (plus start and target).
+    Once the horizon spans the lattice, doubling it adds no test; a short
+    horizon on a wide lattice tests only the target's neighbourhood."""
     prisms = (Prism(Vec3(60, 50, 20), (12.0, 25.0, 30.0), (2, 2, 2)),
               Prism(Vec3(20, 90, 20), (8.0, 8.0, 30.0), (1, 1, 1)))
     env = flat_env(size=120.0, prisms=prisms)
-    calls = []
-    original = privacy_mod.segment_blocked
+    segments, nodes = [], []
+    blocked, collision = privacy_mod.segment_blocked, privacy_mod.is_collision
     monkeypatch.setattr(privacy_mod, "segment_blocked",
-                        lambda *args: calls.append(args) or original(*args))
-    counts = []
-    for m in (6, 12):
-        calls.clear()
-        plan = plan_privacy_dp(env, Vec3(0, 60, 20), Vec3(120, 60, 20), m, 2.0 * m,
-                               15.0, pitch=20.0, planar=True)
-        counts.append(len(calls))
-    lat = plan.lattice
-    prob = ReferenceDpProblem(env, lat, 15.0, 16)
-    nx, ny, nz = lat.dims
-    expected = 0
-    for node in range(nx * ny * nz):
-        ix, iy, iz = lat.unflatten(node)
-        for k in prob.move_indices[1:]:
-            dx, dy, dz = lat.offsets[k]
-            if (0 <= ix + dx < nx and 0 <= iy + dy < ny and 0 <= iz + dz < nz
-                    and prob.node_feasible(node)
-                    and prob.node_feasible(lat.flat_of(ix + dx, iy + dy, iz + dz))):
-                expected += 1
-    assert counts == [expected, expected]
-    assert expected > 0
-
-
-def test_dp_state_budget_rejects_before_tables(monkeypatch):
-    """A lattice over MAX_DP_STATES raises before any node is tested."""
+                        lambda *args: segments.append(args) or blocked(*args))
     monkeypatch.setattr(privacy_mod, "is_collision",
-                        lambda *_args: pytest.fail("node tested"))
+                        lambda *args: nodes.append(args) or collision(*args))
+    counts = {}
+    for m in (14, 7, 2, 1):
+        segments.clear()
+        nodes.clear()
+        try:
+            lat = plan_privacy_dp(env, Vec3(0, 60, 20), Vec3(120, 60, 20), m, 2.0 * m,
+                                  15.0, pitch=20.0, planar=True).lattice
+        except Unreachable:  # the start is 6 steps from the target
+            assert m < 6
+        counts[m] = (len(nodes), len(segments))
+    prob = ReferenceDpProblem(env, lat, 15.0, 16)  # every stage lasts 2 s
+    expected = {m: _moves_into_reach(prob, lat, lat.flat_of(6, 3, 0), m) for m in counts}
+    assert counts == {m: (n + 2, k) for m, (n, k) in expected.items()}
+    assert counts[14] == counts[7] == (7 * 7 + 2, counts[7][1])
+    assert 0 < counts[1][1] < counts[2][1] < counts[7][1]
+
+
+def test_dp_state_budget_counts_reachable_nodes(monkeypatch):
+    """The budget counts the nodes within m_layers steps of the target, times
+    the layers, and raises before any node is tested. A fine pitch on a wide
+    lattice passes when the horizon is short."""
     env = flat_env()
-    with pytest.raises(ValueError, match="budget"):
+    with pytest.raises(Unreachable):  # 25^3 nodes x 13 layers, all in free space
         plan_privacy_dp(env, Vec3(20, 100, 20), Vec3(140, 100, 20), 12, 48.0, 10.0,
                         pitch=0.5)
+    monkeypatch.setattr(privacy_mod, "is_collision",
+                        lambda *_args: pytest.fail("node tested"))
+    with pytest.raises(privacy_mod.DpBudgetExceeded, match="budget"):  # 81^3 x 41
+        plan_privacy_dp(env, Vec3(20, 100, 20), Vec3(140, 100, 20), 40, 48.0, 10.0,
+                        pitch=0.5)
+    with pytest.raises(privacy_mod.DpBudgetExceeded, match="int64"):
+        plan_privacy_dp(env, Vec3(20, 100, 20), Vec3(140, 100, 20), 12, 48.0, 10.0,
+                        pitch=1e-300)
     with pytest.raises(ValueError, match="t_max"):
         plan_privacy_dp(env, Vec3(20, 100, 20), Vec3(140, 100, 20), 12, 0.0, 10.0)
