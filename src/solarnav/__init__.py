@@ -17,9 +17,8 @@ from .energy import (BatteryDepleted, BatteryState, ConsumptionParams, EnergyMod
                      motion_segment)
 from .grid import EdgeCost, EmptyGrid, NavGrid, build_grid
 from .planning import (NoPath, NodeInObstacle, Path, attach_battery_profile,
-                       dijkstra_oracle, energy_edge_cost, length_edge_cost,
-                       plan_energy_efficient, plan_shortest, plan_time_efficient,
-                       time_edge_cost)
+                       energy_edge_cost, length_edge_cost, plan_energy_efficient,
+                       plan_shortest, plan_time_efficient, time_edge_cost)
 from .privacy import (DpLattice, PrivacyPlan, Unreachable, plan_privacy_dp,
                       privacy_intensity, total_privacy_risk)
 from .scenario_io import (ParseError, ValidationError, load_scenario,

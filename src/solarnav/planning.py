@@ -1,5 +1,5 @@
 """Global planners on a NavGrid: energy-efficient and time-efficient search
-under a battery floor, a shortest-path benchmark, and a Dijkstra oracle.
+under a battery floor, and a shortest-path benchmark.
 
 Edge ordering costs are floored at zero so the searches stay on nonnegative
 weights; the true signed energy flow is tracked separately in the battery
@@ -138,54 +138,52 @@ def _astar_plain(grid: NavGrid, start: int, goal: int,
 def _astar_battery(grid: NavGrid, start: int, goal: int, battery: BatteryState,
                    edge_fn: Callable[[int, int, int], float],
                    h_fn: Callable[[int], float]) -> Tuple[List[int], float]:
-    """Label-setting A* over (node, battery energy) with Pareto dominance.
+    """Label-setting A* over (node, battery energy), pruned BOA*-style.
 
-    A label survives only if no other label at the node has both lower-or-equal
-    cost and higher-or-equal energy; this keeps re-expansions that arrive with
-    strictly more energy, which the battery floor can later reward."""
+    Labels pop in (f, node, g, -energy) order. A label is expanded only if it
+    carries more energy than every label expanded at its node before it, so
+    one scalar per node, `best_e`, stands in for the Pareto set of the labels
+    there (Hernandez et al., BOA*, ICAPS 2020, after Martins' label-setting
+    algorithm, 1984). The pruning is exact because:
+
+    - h_fn is consistent (`_energy_rate` and `_max_edge_speed` bound every
+      edge's cost per meter), so f never decreases along a path, and every
+      label expanded at a node before another costs no more than it;
+    - the update min(cap, e - e_out + gain) never decreases as e grows, so a
+      label with no more cost and no less energy than another at the same
+      node stays so after any common extension.
+
+    Both hold in exact arithmetic. In floating point two labels at a node can
+    carry costs a few ulps apart; the one popped later is pruned on energy
+    alone, so a tie between paths of equal cost may break otherwise than
+    under a full Pareto set."""
     n, nz = grid.node_count, grid.dims[2]
     shadow, e_out, lit_gain = grid.search_tables()
-    counter = 0
-    frontier: Dict[int, List[Tuple[float, float, int]]] = {start: [(0.0, battery.energy, 0)]}
-    parents: Dict[int, Tuple[Optional[int], int]] = {0: (None, start)}
-    live = {0}
-    open_heap: List[Tuple[float, int, int]] = [(h_fn(start), start, 0)]
+    cap, floor = battery.capacity, battery.floor
+    labels: List[Tuple[int, int]] = [(-1, start)]  # (parent label, node)
+    best_e: Dict[int, float] = {}
+    open_heap = [(h_fn(start), start, 0.0, -battery.energy, 0)]
     while open_heap:
-        f, node, label_id = heapq.heappop(open_heap)
-        if label_id not in live:
-            continue
-        entry = next(e for e in frontier[node] if e[2] == label_id)
-        g, energy, _ = entry
+        _, node, g, neg_e, label = heapq.heappop(open_heap)
+        energy = -neg_e
+        if energy <= best_e.get(node, -math.inf):
+            continue  # a label expanded here has no more cost and no less energy
+        best_e[node] = energy
         if node == goal:
             flats = []
-            cur: Optional[int] = label_id
-            while cur is not None:
-                par, at = parents[cur]
+            while label >= 0:
+                label, at = labels[label]
                 flats.append(at)
-                cur = par
-            flats.reverse()
-            return flats, g
+            return flats[::-1], g
         iz = node % nz
         for nbr, k in grid.neighbors(node):
-            cost = edge_fn(node, nbr, k)
             gain = 0.0 if shadow[k * n + node] else lit_gain[k * nz + iz]
-            new_e = min(battery.capacity, energy - e_out[k] + gain)
-            if new_e < battery.floor:
-                continue  # CheckBattery fails: hard floor breached
-            new_g = g + cost
-            bucket = frontier.setdefault(nbr, [])
-            if any(bg <= new_g and be >= new_e for bg, be, _ in bucket):
-                continue  # dominated
-            # Remove entries the new label dominates.
-            for bg, be, bid in list(bucket):
-                if new_g <= bg and new_e >= be:
-                    bucket.remove((bg, be, bid))
-                    live.discard(bid)
-            counter += 1
-            bucket.append((new_g, new_e, counter))
-            live.add(counter)
-            parents[counter] = (label_id, nbr)
-            heapq.heappush(open_heap, (new_g + h_fn(nbr), nbr, counter))
+            new_e = min(cap, energy - e_out[k] + gain)
+            if new_e < floor or new_e <= best_e.get(nbr, -math.inf):
+                continue  # CheckBattery fails, or a label expanded at nbr dominates
+            new_g = g + edge_fn(node, nbr, k)
+            heapq.heappush(open_heap, (new_g + h_fn(nbr), nbr, new_g, -new_e, len(labels)))
+            labels.append((label, nbr))
     raise NoPath("no route satisfies the battery constraint")
 
 
@@ -303,22 +301,3 @@ def plan_time_efficient(grid: NavGrid, battery: Optional[BatteryState],
     flats, cost = _astar_battery(grid, s, g, battery, time_edge_cost(grid), h)
     return _assemble(grid, flats, cost, battery)
 
-
-def dijkstra_oracle(grid: NavGrid, edge_cost: Callable[[int, int, int], float],
-                    start: Vec3, goal: Vec3) -> Path:
-    """Exact minimum-cost path by uniform-cost search; admits no heuristic.
-
-    Rejects negative edge costs, which would invalidate the relaxation."""
-    s = _map_endpoint(grid, start, "start")
-    g = _map_endpoint(grid, goal, "goal")
-    if s == g:
-        return Path([grid.node_point(s)], [], 0.0)
-
-    def checked(a: int, b: int, k: int) -> float:
-        c = edge_cost(a, b, k)
-        if c < 0:
-            raise ValueError(f"negative edge cost {c} on edge {a}->{b}")
-        return c
-
-    flats, cost = _astar_plain(grid, s, g, checked, lambda n: 0.0)
-    return _assemble(grid, flats, cost)

@@ -9,6 +9,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .grid import _offsets
 from .world import Environment, PrivacyRegion, Vec3, is_collision, segment_blocked
 
 
@@ -119,14 +120,8 @@ class PrivacyPlan:
 
 
 def _lattice_offsets(planar: bool) -> np.ndarray:
-    rows = [(0, 0, 0)]
-    for dx in (-1, 0, 1):
-        for dy in (-1, 0, 1):
-            for dz in ((0,) if planar else (-1, 0, 1)):
-                if dx == dy == dz == 0:
-                    continue
-                rows.append((dx, dy, dz))
-    return np.array(rows, dtype=int)
+    """The hold row (0, 0, 0), then the grid's motion primitives in order."""
+    return np.vstack([np.zeros((1, 3), dtype=int), _offsets(planar)])
 
 
 def _clear_moves(env: Environment, pred: np.ndarray, pa: np.ndarray,

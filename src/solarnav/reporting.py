@@ -73,14 +73,17 @@ def write_plan_csv(plan: Path, sc: Scenario, path: str) -> None:
 
 
 def plan_summary(plan: Path, sc: Scenario) -> Dict[str, float]:
-    """Planner-level metrics mirroring the simulation Metrics fields."""
+    """Planner-level metrics mirroring the simulation Metrics fields.
+
+    `battery_feasible` is false when the battery profile dips below the
+    floor, as the shortest path, which ignores energy, may."""
     shadow_time = 0.0
     for i, e in enumerate(plan.edges):
         a, b = plan.waypoints[i], plan.waypoints[i + 1]
         mid = Vec3((a.x + b.x) / 2, (a.y + b.y) / 2, (a.z + b.z) / 2)
         if shadowed_at(sc.env, mid, 0.0, ()):
             shadow_time += e.duration
-    final = plan.battery_profile[-1] if plan.battery_profile else None
+    profile = plan.battery_profile or [sc.battery.energy]
     return {
         "total_time_s": plan.total_duration,
         "consumption_J": plan.total_e_out,
@@ -89,7 +92,8 @@ def plan_summary(plan: Path, sc: Scenario) -> Dict[str, float]:
         "search_cost": plan.search_cost,
         "path_length_m": plan.length,
         "shadow_time_s": shadow_time,
-        "final_battery_J": final if final is not None else sc.battery.energy,
+        "final_battery_J": profile[-1],
+        "battery_feasible": min(profile) >= sc.battery.floor,
         "waypoints": len(plan.waypoints),
     }
 

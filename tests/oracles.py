@@ -5,9 +5,10 @@ code under test: dense ray-marching instead of analytic minimization, doubling
 and bisection on Vec3 points instead of a closed-form bracket, dense
 resampling instead of arc-length walking, per-edge scalar evaluation instead
 of per-offset tables and a batched shadow mask, product-graph search instead
-of label-setting A*, recursion/enumeration instead of layered DP tables, and
-a scalar per-(layer, node, move) DP instead of tables built once and backed up
-over whole layers.
+of label-setting A*, uniform-cost search with no heuristic instead of A*,
+Pareto buckets instead of one best energy per node, recursion/enumeration
+instead of layered DP tables, and a scalar per-(layer, node, move) DP instead
+of tables built once and backed up over whole layers.
 """
 
 from __future__ import annotations
@@ -15,13 +16,13 @@ from __future__ import annotations
 import heapq
 import math
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from solarnav import (EdgeCost, Environment, NavGrid, Prism, PrivacyRegion, Vec3,
-                      consumption_energy, gamma, in_shadow, incidence_cosine,
-                      is_collision, motion_segment, segment_blocked)
+from solarnav import (BatteryState, EdgeCost, Environment, NavGrid, NoPath, Path, Prism,
+                      PrivacyRegion, Vec3, consumption_energy, gamma, in_shadow,
+                      incidence_cosine, is_collision, motion_segment, segment_blocked)
 from solarnav.privacy import DpLattice
 
 
@@ -174,6 +175,94 @@ def constrained_time_dijkstra(grid: NavGrid, capacity: float, floor: float,
                 best[key] = cand
                 heapq.heappush(heap, (cand, nbr, new_eq))
     return None
+
+
+def dijkstra_oracle(grid: NavGrid, edge_cost: Callable[[int, int, int], float],
+                    start: Vec3, goal: Vec3) -> Path:
+    """Exact minimum-cost path by uniform-cost search over `grid.neighbors`;
+    admits no heuristic and shares no search code with the planners.
+
+    Rejects negative edge costs, which would invalidate the relaxation."""
+    s = grid.index_of_point(start)
+    g = grid.index_of_point(goal)
+    dist: Dict[int, float] = {s: 0.0}
+    parent: Dict[int, int] = {}
+    done = set()
+    heap: List[Tuple[float, int]] = [(0.0, s)]
+    while heap:
+        d, node = heapq.heappop(heap)
+        if node in done:
+            continue
+        if node == g:
+            flats = [node]
+            while flats[-1] in parent:
+                flats.append(parent[flats[-1]])
+            flats.reverse()
+            return Path([grid.node_point(f) for f in flats],
+                        [grid.edge_cost(a, b) for a, b in zip(flats, flats[1:])], d)
+        done.add(node)
+        for nbr, k in grid.neighbors(node):
+            c = edge_cost(node, nbr, k)
+            if c < 0:
+                raise ValueError(f"negative edge cost {c} on edge {node}->{nbr}")
+            if d + c < dist.get(nbr, math.inf):
+                dist[nbr] = d + c
+                parent[nbr] = node
+                heapq.heappush(heap, (d + c, nbr))
+    raise NoPath("no route between the requested nodes")
+
+
+def reference_battery_search(grid: NavGrid, start: int, goal: int, battery: BatteryState,
+                             edge_fn: Callable[[int, int, int], float],
+                             h_fn: Callable[[int], float]) -> Tuple[List[int], float]:
+    """Label-setting A* over (node, battery energy) with full Pareto buckets.
+
+    A label survives only if no other label at the node has both lower-or-equal
+    cost and higher-or-equal energy; labels it dominates leave the bucket and
+    are skipped when popped. Returns the node sequence and cost of the first
+    goal label popped, as `planning._astar_battery` does."""
+    n, nz = grid.node_count, grid.dims[2]
+    shadow, e_out, lit_gain = grid.search_tables()
+    counter = 0
+    frontier: Dict[int, List[Tuple[float, float, int]]] = {start: [(0.0, battery.energy, 0)]}
+    parents: Dict[int, Tuple[Optional[int], int]] = {0: (None, start)}
+    live = {0}
+    open_heap: List[Tuple[float, int, int]] = [(h_fn(start), start, 0)]
+    while open_heap:
+        f, node, label_id = heapq.heappop(open_heap)
+        if label_id not in live:
+            continue
+        g, energy, _ = next(e for e in frontier[node] if e[2] == label_id)
+        if node == goal:
+            flats = []
+            cur: Optional[int] = label_id
+            while cur is not None:
+                par, at = parents[cur]
+                flats.append(at)
+                cur = par
+            flats.reverse()
+            return flats, g
+        iz = node % nz
+        for nbr, k in grid.neighbors(node):
+            cost = edge_fn(node, nbr, k)
+            gain = 0.0 if shadow[k * n + node] else lit_gain[k * nz + iz]
+            new_e = min(battery.capacity, energy - e_out[k] + gain)
+            if new_e < battery.floor:
+                continue
+            new_g = g + cost
+            bucket = frontier.setdefault(nbr, [])
+            if any(bg <= new_g and be >= new_e for bg, be, _ in bucket):
+                continue
+            for bg, be, bid in list(bucket):
+                if new_g <= bg and new_e >= be:
+                    bucket.remove((bg, be, bid))
+                    live.discard(bid)
+            counter += 1
+            bucket.append((new_g, new_e, counter))
+            live.add(counter)
+            parents[counter] = (label_id, nbr)
+            heapq.heappush(open_heap, (new_g + h_fn(nbr), nbr, counter))
+    raise NoPath("no route satisfies the battery constraint")
 
 
 def _point_segment_distance(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:

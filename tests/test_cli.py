@@ -271,6 +271,22 @@ def test_compare_report_deterministic(tmp_path):
     assert r1.output == r2.output
 
 
+def test_reports_flag_a_battery_profile_below_the_floor(tmp_path):
+    """section4's shortest path ignores energy and ends near -173 J, under
+    the 50 J floor; the energy and time plans respect it."""
+    runner = CliRunner()
+    out = tmp_path / "cmp.yaml"
+    result = runner.invoke(main, ["compare", "-s", "section4", "-o", str(out)])
+    assert result.exit_code == 0, result.output
+    rows = yaml.safe_load(out.read_text())["planners"]
+    assert {n: row["battery_feasible"] for n, row in rows.items()} == \
+        {"energy": True, "time": True, "shortest": False}
+    assert rows["shortest"]["final_battery_J"] < 50.0 <= rows["time"]["final_battery_J"]
+    result = runner.invoke(main, ["plan", "-s", "section4", "-p", "shortest"])
+    assert result.exit_code == 0, result.output
+    assert yaml.safe_load(result.output)["metrics"]["battery_feasible"] is False
+
+
 def test_compare_partial_failure_records_error(tmp_path):
     doc = yaml.safe_load(MINIMAL)
     doc["battery"] = {"capacity": 30.0, "initial": 30.0, "floor": 29.0}

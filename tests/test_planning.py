@@ -7,14 +7,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from solarnav import (BatteryState, EnergyModel, NoPath, NodeInObstacle, Prism,
-                      Vec3, build_grid, dijkstra_oracle, energy_edge_cost,
-                      length_edge_cost, plan_energy_efficient, plan_shortest,
-                      plan_time_efficient, time_edge_cost)
-from solarnav.planning import _energy_rate, _max_edge_speed
+from solarnav import (BatteryState, Box, EmptyGrid, EnergyModel, Environment,
+                      HarvestModel, NavGrid, NoPath, NodeInObstacle, Prism, SunModel,
+                      Vec3, build_grid, energy_edge_cost, length_edge_cost,
+                      plan_energy_efficient, plan_shortest, plan_time_efficient,
+                      time_edge_cost)
+from solarnav.planning import (_astar_battery, _energy_rate, _euclid_heuristic,
+                               _max_edge_speed)
+from solarnav.scenario_io import load_scenario
 
 from conftest import empty_env, env_with, fork_env, random_env
+from oracles import dijkstra_oracle, reference_battery_search
 
 BIG_BATTERY = BatteryState(1e9, 1e9, 0.0)
 
@@ -139,6 +145,117 @@ def test_heuristic_admissibility_against_oracle(default_battery):
         x, y, z = grid.node_xyz(node)
         h = math.dist((x, y, z), (gx, gy, gz)) / v_eff
         assert h <= true_cost + 1e-9
+
+
+def _objectives(grid, goal_flat):
+    """(edge cost, heuristic) of the energy and the time planner."""
+    return [(energy_edge_cost(grid), _euclid_heuristic(grid, goal_flat, _energy_rate(grid))),
+            (time_edge_cost(grid), _euclid_heuristic(grid, goal_flat,
+                                                     1.0 / _max_edge_speed(grid)))]
+
+
+@pytest.mark.parametrize("mode", list(HarvestModel))
+def test_heuristics_are_consistent(mode):
+    """h(a) <= c(a, b) + h(b) on every edge, for both objectives, on a 3D grid
+    and a planar grid with a prism. The battery search prunes with the best
+    energy expanded per node, which is exact only for consistent heuristics."""
+    rng = np.random.default_rng(5)
+    energy = EnergyModel(mode=mode)
+    grids = [build_grid(random_env(rng, size=110.0, n_prisms=2, min_axis=11.0), 11.0,
+                        energy=energy),
+             build_grid(fork_env(), 20.0, planar_z=60.0, energy=energy)]
+    for grid in grids:
+        free = np.flatnonzero(grid.free.ravel()).tolist()
+        for goal_flat in (free[0], free[len(free) // 2], free[-1]):
+            for cost, h in _objectives(grid, goal_flat):
+                for a in free:
+                    for b, k in grid.neighbors(a):
+                        assert h(a) <= cost(a, b, k) + h(b) + 1e-9
+
+
+def _expansions(search, grid, *args):
+    """(flats, cost), or None on NoPath, and the nodes expanded in order: one
+    entry per `grid.neighbors` call."""
+    expanded = []
+    grid.neighbors = lambda flat: expanded.append(flat) or NavGrid.neighbors(grid, flat)
+    try:
+        return search(grid, *args), expanded
+    except NoPath:
+        return None, expanded
+    finally:
+        del grid.neighbors
+
+
+_unit = st.tuples(*[st.floats(0.0, 1.0)] * 3)  # a point as a fraction of the bounds
+_prism = st.tuples(_unit, st.tuples(*[st.floats(10.0, 25.0)] * 3),
+                   st.sampled_from([(1, 1, 1), (2, 2, 2), (4, 4, 4), (2, 1, 3)]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(dims=st.tuples(st.integers(2, 9), st.integers(2, 9), st.integers(1, 4)),
+       prisms=st.lists(_prism, max_size=2), mode=st.sampled_from(list(HarvestModel)),
+       sun=_unit, capacity=st.floats(50.0, 1500.0),
+       levels=st.tuples(st.floats(0.0, 0.8), st.floats(0.0, 1.0)),
+       ends=st.tuples(st.integers(0, 10 ** 6), st.integers(0, 10 ** 6)))
+def test_battery_search_matches_pareto_reference(dims, prisms, mode, sun, capacity,
+                                                 levels, ends):
+    """The best-energy-per-node search returns the same node sequence and the
+    exact cost as the Pareto-bucket reference, or NoPath with it, after the
+    same expansions in the same order, for the energy and the time objective.
+    Low suns cast long prism shadows, and small batteries make the floor bind.
+
+    Edge costs are rounded up, and heuristics down, to multiples of 1/1024,
+    so every cost sum is exact and the heuristics stay consistent. With the
+    unrounded costs, two labels at a node can carry costs a few ulps apart
+    that are equal in exact arithmetic: the reference compares those floats
+    as distinct costs, this search takes costs at a node as settled in pop
+    order, and the two can then break such a tie differently."""
+    res = 10.0
+    nx, ny, nz = dims
+    planar = nz == 1
+    hi = (res * (nx - 1), res * (ny - 1), 40.0 if planar else res * (nz - 1))
+
+    def at(unit):
+        return Vec3(*(u * h for u, h in zip(unit, hi)))
+
+    sun_at = Vec3(hi[0] * (5.0 * sun[0] - 2.0), hi[1] * (5.0 * sun[1] - 2.0),
+                  hi[2] + 30.0 + 300.0 * sun[2])
+    env = Environment(bounds=Box(Vec3(0, 0, 0), Vec3(*hi)),
+                      known_obstacles=tuple(Prism(at(c), a, e) for c, a, e in prisms),
+                      sun=SunModel.from_position(sun_at, at((0.5, 0.5, 0.5))),
+                      z_min=0.0, z_max=hi[2])
+    try:
+        grid = build_grid(env, res, planar_z=20.0 if planar else None,
+                          energy=EnergyModel(mode=mode))
+    except EmptyGrid:
+        return
+    free = np.flatnonzero(grid.free.ravel()).tolist()
+    start, goal = free[ends[0] % len(free)], free[ends[1] % len(free)]
+    floor = levels[0] * capacity
+    battery = BatteryState(floor + levels[1] * (capacity - floor), capacity, floor)
+    for cost, h in _objectives(grid, goal):
+        args = (start, goal, battery,
+                lambda a, b, k, cost=cost: math.ceil(cost(a, b, k) * 1024) / 1024,
+                lambda n, h=h: math.floor(h(n) * 1024) / 1024)
+        assert _expansions(_astar_battery, grid, *args) == \
+            _expansions(reference_battery_search, grid, *args)
+
+
+@pytest.mark.parametrize("resolution", [20.0, 10.0])
+def test_battery_search_matches_pareto_reference_on_section4(resolution):
+    """On section4 with the planners' own costs, both objectives give the
+    reference's node sequence and exact cost, and expand the same nodes as
+    often. At 10 m some expansions come in another order: a label whose cost
+    is a few ulps below an expanded one at its node may pop later."""
+    sc = load_scenario("section4")
+    grid = build_grid(sc.env, resolution, margin=sc.grid_margin, energy=sc.energy)
+    start, goal = grid.index_of_point(sc.start), grid.index_of_point(sc.goal)
+    for cost, h in _objectives(grid, goal):
+        args = (start, goal, sc.battery, cost, h)
+        got, got_nodes = _expansions(_astar_battery, grid, *args)
+        want, want_nodes = _expansions(reference_battery_search, grid, *args)
+        assert got == want
+        assert sorted(got_nodes) == sorted(want_nodes)
 
 
 def test_fork_prefers_sunlit_corridor(default_battery):
