@@ -18,8 +18,8 @@ from .planning import NoPath, NodeInObstacle, \
     plan_energy_efficient, plan_shortest, plan_time_efficient  # noqa: F401
 from .privacy import DpBudgetExceeded, Unreachable, default_t_max, plan_privacy_dp, \
     total_privacy_risk
-from .reporting import plan_summary, report_text, write_plan_csv, write_report, \
-    write_trajectory_csv
+from .reporting import plan_summary, report_text, write_plan_csv, write_privacy_csv, \
+    write_report, write_trajectory_csv
 from .scenario_io import ParseError, ValidationError, load_scenario, scenario_digest
 from .simulate import PlanningFailed, run_planner, run_scenario, scenario_grid
 
@@ -84,7 +84,7 @@ def plan(scenario: str, planner: str, output: Optional[str],
                        result.sampled(8), sc.env.privacy_regions),
                    "waypoints": len(result.trajectory)}
         if output:
-            _write_privacy_csv(result, output)
+            write_privacy_csv(result, output)
     else:
         summary = plan_summary(result, sc)
         if output:
@@ -94,14 +94,6 @@ def plan(scenario: str, planner: str, output: Optional[str],
     if report:
         write_report(payload, report)
     click.echo(report_text(payload), nl=False)
-
-
-def _write_privacy_csv(plan_result, path: str) -> None:
-    rows = ["t,x,y,z,theta,v,u,battery,shadow,mode,min_dist"]
-    for t, p in plan_result.trajectory:
-        rows.append(f"{t:.9g},{p.x:.9g},{p.y:.9g},{p.z:.9g},0,0,0,0,0,plan,inf")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(rows) + "\n")
 
 
 @main.command()

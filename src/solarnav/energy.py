@@ -68,6 +68,8 @@ class HarvestParams:
             raise ValueError("require h_down < h_up")
         if self.beta_c < 0:
             raise ValueError("beta_c must be nonnegative")
+        if self.delta_c <= 0:
+            raise ValueError("delta_c must be positive")
 
     @property
     def peak_power(self) -> float:
@@ -150,8 +152,6 @@ def harvest_power_cloud(z: float, hp: HarvestParams) -> float:
 
 def harvest_power_altitude(z: float, hp: HarvestParams) -> float:
     """Altitude-dependent panel output; strictly increasing in z."""
-    if hp.delta_c <= 0:
-        raise ValueError("delta_c must be positive")
     return hp.peak_power * math.exp(hp.alpha_c - hp.beta_c * math.exp(-z / hp.delta_c))
 
 

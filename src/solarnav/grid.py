@@ -11,7 +11,7 @@ import numpy as np
 
 from .energy import EnergyModel, consumption_energy, incidence_cosine, motion_segment
 # in_shadow stays importable here: bench/tracing.py binds it on this module.
-from .world import Environment, Vec3, _gamma_points, in_shadow, segments_blocked  # noqa: F401
+from .world import Environment, Vec3, clear_of_prisms, in_shadow, segments_blocked  # noqa: F401
 
 MAX_GRID_NODES = 1_000_000  # build_grid peaks near 1.2 kB per node (0.41 GB at 272k)
 
@@ -39,10 +39,59 @@ class EdgeCost:
     e_gain: float    # J harvestable (before battery clamping)
     duration: float  # s
     length: float    # m
+    shadow: bool     # the t = 0 sun is blocked at the edge midpoint
 
 
 @dataclass
-class NavGrid:
+class Lattice:
+    """Cubic lattice of dims nodes, `spacing` apart, from `origin`.
+
+    Node (ix, iy, iz) lies at origin + (ix, iy, iz) * spacing and has flat
+    index (ix * ny + iy) * nz + iz."""
+
+    origin: np.ndarray                 # (3,)
+    spacing: float
+    dims: Tuple[int, int, int]
+
+    @property
+    def node_count(self) -> int:
+        return math.prod(self.dims)
+
+    def flat_of(self, ix, iy, iz):
+        """Flat index of node (ix, iy, iz); elementwise on index arrays."""
+        _, ny, nz = self.dims
+        return (ix * ny + iy) * nz + iz
+
+    def unflatten(self, flat: int) -> Tuple[int, int, int]:
+        _, ny, nz = self.dims
+        ix, rem = divmod(flat, ny * nz)
+        iy, iz = divmod(rem, nz)
+        return ix, iy, iz
+
+    def indices(self) -> np.ndarray:
+        """(node_count, 3) lattice indices of every node, in flat order."""
+        return np.stack(np.unravel_index(np.arange(self.node_count), self.dims), axis=1)
+
+    def node_coords(self, idx: np.ndarray) -> np.ndarray:
+        """Coordinates of the nodes at the (N, 3) lattice indices `idx`."""
+        return self.origin + idx * self.spacing
+
+    def node_xyz(self, flat: int) -> Tuple[float, float, float]:
+        return tuple(self.node_coords(np.array(self.unflatten(flat))).tolist())
+
+    def node_point(self, flat: int) -> Vec3:
+        return Vec3(*self.node_xyz(flat))
+
+    def index_of_point(self, p: Vec3) -> int:
+        """Nearest lattice node; raises when p falls outside the lattice."""
+        idx = np.rint((p.as_array() - self.origin) / self.spacing).astype(int)
+        if not np.all((idx >= 0) & (idx < self.dims)):
+            raise ValueError(f"point {p.as_tuple()} outside the lattice")
+        return self.flat_of(*idx.tolist())
+
+
+@dataclass
+class NavGrid(Lattice):
     """26-connected lattice (8-connected in planar mode) of free nodes.
 
     `build_grid` computes every edge annotation once, as arrays indexed by
@@ -54,13 +103,11 @@ class NavGrid:
       the directed edge leaving node (ix, iy, iz) along k;
     - `lit_gain[k, iz]`: harvest of a sunlit edge leaving layer iz along k.
 
-    `edge_cost` and `neighbors` are views over these arrays.
+    `edge_cost` and `neighbors` are views over these arrays; node indexing
+    and coordinates come from `Lattice`.
     """
 
     env: Environment
-    resolution: float
-    origin: np.ndarray                 # (3,)
-    dims: Tuple[int, int, int]
     free: np.ndarray                   # bool (nx, ny, nz)
     offsets: np.ndarray                # (K, 3) int
     edge_ok: np.ndarray                # bool (K, nx, ny, nz)
@@ -79,40 +126,8 @@ class NavGrid:
     def planar(self) -> bool:
         return self.dims[2] == 1
 
-    @property
-    def node_count(self) -> int:
-        nx, ny, nz = self.dims
-        return nx * ny * nz
-
     def free_count(self) -> int:
         return int(self.free.sum())
-
-    def flat_of(self, ix: int, iy: int, iz: int) -> int:
-        _, ny, nz = self.dims
-        return (ix * ny + iy) * nz + iz
-
-    def unflatten(self, flat: int) -> Tuple[int, int, int]:
-        _, ny, nz = self.dims
-        ix, rem = divmod(flat, ny * nz)
-        iy, iz = divmod(rem, nz)
-        return ix, iy, iz
-
-    def node_xyz(self, flat: int) -> Tuple[float, float, float]:
-        ix, iy, iz = self.unflatten(flat)
-        o = self.origin
-        r = self.resolution
-        return (float(o[0] + ix * r), float(o[1] + iy * r), float(o[2] + iz * r))
-
-    def node_point(self, flat: int) -> Vec3:
-        return Vec3(*self.node_xyz(flat))
-
-    def index_of_point(self, p: Vec3) -> int:
-        """Nearest lattice node; raises when p falls outside the lattice."""
-        idx = np.rint((p.as_array() - self.origin) / self.resolution).astype(int)
-        nx, ny, nz = self.dims
-        if not (0 <= idx[0] < nx and 0 <= idx[1] < ny and 0 <= idx[2] < nz):
-            raise ValueError(f"point {p.as_tuple()} outside the grid lattice")
-        return self.flat_of(int(idx[0]), int(idx[1]), int(idx[2]))
 
     def is_free(self, flat: int) -> bool:
         return bool(self.free[self.unflatten(flat)])
@@ -130,9 +145,7 @@ class NavGrid:
 
     def coord_lists(self) -> Tuple[list, list, list]:
         """Per-node x/y/z coordinates as plain lists (search hot path)."""
-        axes = [self.origin[i] + np.arange(n) * self.resolution
-                for i, n in enumerate(self.dims)]
-        return tuple(c.ravel().tolist() for c in np.meshgrid(*axes, indexing="ij"))
+        return tuple(self.node_coords(self.indices()).T.tolist())
 
     def search_tables(self) -> Tuple[bytes, list, list]:
         """Plain views of the edge arrays for search loops: the shadow flag of
@@ -152,9 +165,10 @@ class NavGrid:
         k = self._offset_index.get((ib[0] - ia[0], ib[1] - ia[1], ib[2] - ia[2]))
         if k is None or not self.edge_ok[(k,) + ia]:
             raise ValueError(f"{a} -> {b} is not an edge of the grid")
-        gain = 0.0 if self.shadow[(k,) + ia] else float(self.lit_gain[k, ia[2]])
+        shadow = bool(self.shadow[(k,) + ia])
+        gain = 0.0 if shadow else float(self.lit_gain[k, ia[2]])
         return EdgeCost(float(self.e_out[k]), gain, float(self.duration[k]),
-                        float(self.length[k]))
+                        float(self.length[k]), shadow)
 
 
 def lattice_dims(env: Environment, resolution: float,
@@ -198,19 +212,11 @@ def build_grid(env: Environment, resolution: float, margin: float = 2.0,
         z0 = max(lo.z, env.z_min)
         if z0 > min(hi.z, env.z_max):
             raise EmptyGrid("altitude band does not intersect the bounds")
-    nx, ny, nz = lattice_dims(env, resolution, planar_z)
-    origin = np.array([lo.x, lo.y, z0], dtype=float)
-
-    xs = origin[0] + np.arange(nx) * resolution
-    ys = origin[1] + np.arange(ny) * resolution
-    zs = origin[2] + np.arange(nz) * resolution
-    gx, gy, gz = np.meshgrid(xs, ys, zs, indexing="ij")
-    points = np.stack([gx, gy, gz], axis=-1).reshape(-1, 3)
-
-    free = np.ones(points.shape[0], dtype=bool)
-    for prism in env.known_obstacles:
-        free &= _gamma_points(points, prism.inflated(margin) if margin > 0 else prism) > 1.0
-    free = free.reshape(nx, ny, nz)
+    lattice = Lattice(np.array([lo.x, lo.y, z0], dtype=float), resolution,
+                      lattice_dims(env, resolution, planar_z))
+    nx, ny, nz = lattice.dims
+    points = lattice.node_coords(lattice.indices())
+    free = clear_of_prisms(env, points, margin).reshape(nx, ny, nz)
     if not free.any():
         raise EmptyGrid("environment has no collision-free lattice node")
 
@@ -231,7 +237,7 @@ def build_grid(env: Environment, resolution: float, margin: float = 2.0,
         src[sl_src] = free[sl_src] & free[sl_dst]
         idx = np.argwhere(src)
         if idx.size:
-            starts = origin + idx * resolution
+            starts = lattice.node_coords(idx)
             ends = starts + np.array([dx, dy, dz]) * resolution
             clear = ~segments_blocked(env, starts, ends)
             ok = idx[clear]
@@ -248,15 +254,16 @@ def build_grid(env: Environment, resolution: float, margin: float = 2.0,
     for k, view in enumerate(mid_views):
         half[view] |= edge_ok[k]
     at = np.argwhere(half)
-    mids = origin + (at - 1) * (resolution / 2.0)
+    mids = lattice.origin + (at - 1) * (resolution / 2.0)
     sun = env.sun.position_at(0.0).as_array()
     half[tuple(at.T)] = segments_blocked(env, np.broadcast_to(sun, mids.shape), mids)
     shadow = np.stack([half[view] & edge_ok[k] for k, view in enumerate(mid_views)])
 
     energy = energy or EnergyModel()
+    # The first nz nodes are (0, 0, iz): their z coordinates are the layers'.
     e_out, duration, length, lit_gain = _offset_tables(env, energy, offsets, resolution,
-                                                       zs.tolist())
-    return NavGrid(env=env, resolution=resolution, origin=origin, dims=(nx, ny, nz),
+                                                       points[:nz, 2].tolist())
+    return NavGrid(origin=lattice.origin, spacing=resolution, dims=lattice.dims, env=env,
                    free=free, offsets=offsets, edge_ok=edge_ok, margin=margin,
                    energy=energy, e_out=e_out, duration=duration, length=length,
                    shadow=shadow, lit_gain=lit_gain)

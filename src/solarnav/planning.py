@@ -246,7 +246,7 @@ def _energy_rate(grid: NavGrid) -> float:
 def _max_edge_speed(grid: NavGrid) -> float:
     """Largest length/duration ratio over the grid's motion primitives."""
     c = grid.energy.consumption
-    r = grid.resolution
+    r = grid.spacing
     best = 0.0
     for off in grid.offsets:
         d_h = r * math.hypot(off[0], off[1])

@@ -9,8 +9,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .grid import _offsets
-from .world import Environment, PrivacyRegion, Vec3, is_collision, segment_blocked
+from .grid import Lattice, _offsets
+from .world import Environment, PrivacyRegion, Vec3, clear_of_prisms, segment_blocked
 
 
 MAX_DP_STATES = 1_000_000  # nodes within m_layers steps of pf x (m_layers + 1)
@@ -64,36 +64,18 @@ def total_privacy_risk(traj: Sequence[Tuple[float, Vec3]],
 
 
 @dataclass
-class DpLattice:
-    """Layered value tables of the privacy DP over a cubic lattice.
+class DpLattice(Lattice):
+    """Layered value tables of the privacy DP over a cubic lattice, whose
+    node indexing and coordinates come from `Lattice`.
 
     values[i] maps a flat node index to the minimum risk-to-go from layer i;
     moves[i] stores the offset index realizing it."""
 
-    origin: np.ndarray
-    pitch: float
-    dims: Tuple[int, int, int]
     delta: float
     m_layers: int
     offsets: np.ndarray                      # (K, 3), row 0 is the hold move
     values: List[Dict[int, float]] = field(default_factory=list)
     moves: List[Dict[int, int]] = field(default_factory=list)
-
-    def flat_of(self, ix: int, iy: int, iz: int) -> int:
-        _, ny, nz = self.dims
-        return (ix * ny + iy) * nz + iz
-
-    def unflatten(self, flat: int) -> Tuple[int, int, int]:
-        _, ny, nz = self.dims
-        ix, rem = divmod(flat, ny * nz)
-        iy, iz = divmod(rem, nz)
-        return ix, iy, iz
-
-    def node_point(self, flat: int) -> Vec3:
-        ix, iy, iz = self.unflatten(flat)
-        return Vec3(float(self.origin[0] + ix * self.pitch),
-                    float(self.origin[1] + iy * self.pitch),
-                    float(self.origin[2] + iz * self.pitch))
 
 
 @dataclass
@@ -209,8 +191,12 @@ def dp_lattice_dims(env: Environment, anchor: Vec3, m_layers: int, t_max: float,
 
 
 def _nodes_ok(env: Environment, points: np.ndarray) -> np.ndarray:
-    """Which (N, 3) points are collision-free and outside every c1 core."""
-    ok = np.array([not is_collision(Vec3.from_array(p), env) for p in points], dtype=bool)
+    """Which (N, 3) points are collision-free, as `is_collision` decides, and
+    outside every c1 core."""
+    z = points[:, 2]
+    ok = ((points >= env.bounds.lo.as_array()).all(axis=1)
+          & (points <= env.bounds.hi.as_array()).all(axis=1)
+          & (env.z_min <= z) & (z <= env.z_max) & clear_of_prisms(env, points))
     for r in env.privacy_regions:
         ok &= _distances(points, r.center) > r.c1
     return ok
@@ -236,26 +222,19 @@ def plan_privacy_dp(env: Environment, p0: Vec3, pf: Vec3, m_layers: int,
     """
     origin, pitch, dims = dp_lattice_dims(env, pf, m_layers, t_max, v_max, pitch, planar)
     delta = t_max / m_layers
-    lattice = DpLattice(origin=origin, pitch=pitch, dims=dims, delta=delta,
+    lattice = DpLattice(origin=origin, spacing=pitch, dims=dims, delta=delta,
                         m_layers=m_layers, offsets=_lattice_offsets(planar))
-
-    def snap(p: Vec3, label: str) -> np.ndarray:
-        idx = np.rint((p.as_array() - origin) / pitch).astype(int)
-        if not all(0 <= idx[i] < dims[i] for i in range(3)):
-            raise ValueError(f"{label} {p.as_tuple()} outside the DP lattice")
-        return idx
-
-    pf_idx = snap(pf, "target")
-    p0_idx = snap(p0, "start")
-    if not _nodes_ok(env, origin + np.array([pf_idx, p0_idx]) * pitch).all():
+    pf_flat, p0_flat = lattice.index_of_point(pf), lattice.index_of_point(p0)
+    if not _nodes_ok(env, np.array([lattice.node_xyz(pf_flat), lattice.node_xyz(p0_flat)])).all():
         raise ValueError("start or target violates the hard constraints")
 
     # The reach box around pf, indexed locally in the same (x, y, z) order.
+    pf_idx = np.array(lattice.unflatten(pf_flat))
     box_lo, box_hi = _reach_box(pf_idx, np.array(dims), m_layers)
     box = tuple((box_hi - box_lo).tolist())
     n_nodes = math.prod(box)
     idx = box_lo + np.stack(np.unravel_index(np.arange(n_nodes), box), axis=1)
-    points = origin + idx * pitch
+    points = lattice.node_coords(idx)
     node_ok = _nodes_ok(env, points)
     into_ok = node_ok & (np.abs(idx - pf_idx).max(axis=1) < m_layers)
     regions = env.privacy_regions
@@ -280,10 +259,8 @@ def plan_privacy_dp(env: Environment, p0: Vec3, pf: Vec3, m_layers: int,
 
     values: List[Dict[int, float]] = [dict() for _ in range(m_layers + 1)]
     moves: List[Dict[int, int]] = [dict() for _ in range(m_layers + 1)]
-    pf_flat = lattice.flat_of(*pf_idx.tolist())
-    p0_flat = lattice.flat_of(*p0_idx.tolist())
     values[m_layers][pf_flat] = 0.0
-    flat = idx @ np.array([dims[1] * dims[2], dims[2], 1])
+    flat = lattice.flat_of(*idx.T)
     value = np.full(n_nodes + 1, math.inf)
     value[np.ravel_multi_index(pf_idx - box_lo, box)] = 0.0
     nodes = np.arange(n_nodes)

@@ -11,8 +11,8 @@ from typing import Dict, List
 import yaml
 
 from .planning import Path
+from .privacy import PrivacyPlan
 from .simulate import Scenario, SimLog, min_separation, shadowed_at
-from .world import Vec3
 
 CSV_HEADER = "t,x,y,z,theta,v,u,battery,shadow,mode,min_dist"
 
@@ -33,9 +33,13 @@ def trajectory_csv_rows(log: SimLog) -> List[str]:
     return rows
 
 
-def write_trajectory_csv(log: SimLog, path: str) -> None:
+def _write_rows(rows: List[str], path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(trajectory_csv_rows(log)) + "\n")
+        fh.write("\n".join(rows) + "\n")
+
+
+def write_trajectory_csv(log: SimLog, path: str) -> None:
+    _write_rows(trajectory_csv_rows(log), path)
 
 
 def plan_csv_rows(plan: Path, sc: Scenario) -> List[str]:
@@ -68,8 +72,20 @@ def plan_csv_rows(plan: Path, sc: Scenario) -> List[str]:
 
 
 def write_plan_csv(plan: Path, sc: Scenario, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(plan_csv_rows(plan, sc)) + "\n")
+    _write_rows(plan_csv_rows(plan, sc), path)
+
+
+def privacy_csv_rows(plan: PrivacyPlan) -> List[str]:
+    """Waypoint rows of a privacy DP trajectory. The DP tracks no heading,
+    speed, battery, shadow or clearance: those columns read 0, and inf for
+    min_dist."""
+    return [CSV_HEADER] + [",".join([_num(t), _num(p.x), _num(p.y), _num(p.z),
+                                     "0", "0", "0", "0", "0", "plan", "inf"])
+                           for t, p in plan.trajectory]
+
+
+def write_privacy_csv(plan: PrivacyPlan, path: str) -> None:
+    _write_rows(privacy_csv_rows(plan), path)
 
 
 def plan_summary(plan: Path, sc: Scenario) -> Dict[str, float]:
@@ -77,12 +93,7 @@ def plan_summary(plan: Path, sc: Scenario) -> Dict[str, float]:
 
     `battery_feasible` is false when the battery profile dips below the
     floor, as the shortest path, which ignores energy, may."""
-    shadow_time = 0.0
-    for i, e in enumerate(plan.edges):
-        a, b = plan.waypoints[i], plan.waypoints[i + 1]
-        mid = Vec3((a.x + b.x) / 2, (a.y + b.y) / 2, (a.z + b.z) / 2)
-        if shadowed_at(sc.env, mid, 0.0, ()):
-            shadow_time += e.duration
+    shadow_time = sum((e.duration for e in plan.edges if e.shadow), 0.0)
     profile = plan.battery_profile or [sc.battery.energy]
     return {
         "total_time_s": plan.total_duration,

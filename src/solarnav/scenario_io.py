@@ -94,9 +94,12 @@ def _optional(section: Dict[str, Any], where: str, positive: bool = False) -> Op
     return _finite(section, where, None, positive)
 
 
-def _build(cls, raw: Dict[str, Any], where: str, **converted):
+def _build(cls, raw: Any, where: str, **converted):
+    """`cls` from the mapping `raw`, each of whose fields must be a finite
+    float, and from the fields already `converted`."""
+    fields = {k: _real(v, f"{where}.{k}") for k, v in _mapping(raw, where).items()}
     try:
-        return cls(**{**raw, **converted})
+        return cls(**{**fields, **converted})
     except (TypeError, ValueError) as exc:
         raise ValidationError(where, str(exc)) from exc
 
@@ -140,8 +143,9 @@ def scenario_from_dict(data: Dict[str, Any]) -> Scenario:
     drift = _vec(sun_raw.get("drift", [0, 0, 0]), "world.sun.drift")
     if "azimuth" in sun_raw or "elevation" in sun_raw:
         sun = _build(SunModel, {}, "world.sun", position=sun_pos,
-                     azimuth=float(sun_raw.get("azimuth", 0.0)),
-                     elevation=float(sun_raw.get("elevation", math.pi / 2)),
+                     azimuth=_real(sun_raw.get("azimuth", 0.0), "world.sun.azimuth"),
+                     elevation=_real(sun_raw.get("elevation", math.pi / 2),
+                                     "world.sun.elevation"),
                      drift=drift)
     else:
         sun = SunModel.from_position(sun_pos, bounds.center(), drift)
@@ -172,7 +176,7 @@ def scenario_from_dict(data: Dict[str, Any]) -> Scenario:
     for key in ("alpha_safe", "threshold", "align_tolerance"):
         deg = avoid_raw.pop(key + "_deg", None)
         if deg is not None:
-            avoid_raw[key] = math.radians(float(deg))
+            avoid_raw[key] = math.radians(_real(deg, f"avoidance.{key}_deg"))
     avoidance = _build(AvoidanceParams, avoid_raw, "avoidance")
 
     obstacles = []
@@ -223,7 +227,7 @@ def scenario_from_dict(data: Dict[str, Any]) -> Scenario:
             privacy_t_max=t_max,
             privacy_pitch=pitch,
         )
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # OverflowError: a huge prism exponent
         raise ValidationError("scenario", str(exc)) from exc
     try:
         lattice_dims(env, grid_resolution, sc.planar_z)

@@ -228,6 +228,14 @@ def _gamma_points(points: np.ndarray, prism: Prism) -> np.ndarray:
     return q[:, 0] ** d[0] + q[:, 1] ** d[1] + q[:, 2] ** d[2]
 
 
+def clear_of_prisms(env: Environment, points: np.ndarray, margin: float = 0.0) -> np.ndarray:
+    """Which (N, 3) points lie outside every prism grown by `margin`."""
+    clear = np.ones(len(points), dtype=bool)
+    for prism in env.known_obstacles:
+        clear &= _gamma_points(points, prism.inflated(margin) if margin > 0 else prism) > 1.0
+    return clear
+
+
 def is_collision(p: Vec3, env: Environment, margin: float = 0.0) -> bool:
     """True if p is outside bounds/altitude band or within margin of a prism."""
     if not env.bounds.contains(p):

@@ -84,7 +84,7 @@ def reference_edge_cost(grid: NavGrid, a: int, b: int) -> EdgeCost:
     cos_theta = incidence_cosine(0.0, 0.0, sun.azimuth, sun.elevation)
     power = grid.energy.harvest_power(cos_theta, shadowed, mid.z)
     return EdgeCost(e_out, power * seg.duration, seg.duration,
-                    float(np.linalg.norm(pb - pa)))
+                    float(np.linalg.norm(pb - pa)), shadowed)
 
 
 def resampled_lookahead(waypoints: Sequence[Vec3], p: Vec3, lookahead: float,
@@ -296,7 +296,7 @@ class ReferenceDpProblem:
         self._node_ok: Dict[int, bool] = {}
         self._move_ok: Dict[Tuple[int, int], bool] = {}
         self._cost: Dict[Tuple[int, int], float] = {}
-        move_len = np.linalg.norm(lattice.offsets * lattice.pitch, axis=1)
+        move_len = np.linalg.norm(lattice.offsets * lattice.spacing, axis=1)
         speed_ok = move_len <= v_max * lattice.delta * (1 + 1e-9)
         self.move_indices = [k for k in range(lattice.offsets.shape[0]) if speed_ok[k]]
 

@@ -240,12 +240,7 @@ def _lattice_shortest_risk(env, plan, p0: Vec3, pf: Vec3) -> float:
     """Minimum-distance route on the same DP lattice, risk-scored the same way."""
     lat = plan.lattice
     prob = ReferenceDpProblem(env, lat, 10.0, 16)
-
-    def flat_of_point(v: Vec3) -> int:
-        idx = np.rint((v.as_array() - lat.origin) / lat.pitch).astype(int)
-        return lat.flat_of(int(idx[0]), int(idx[1]), int(idx[2]))
-
-    s, g = flat_of_point(p0), flat_of_point(pf)
+    s, g = lat.index_of_point(p0), lat.index_of_point(pf)
     dist = {s: 0.0}
     parent = {}
     heap = [(0.0, s)]
@@ -267,7 +262,7 @@ def _lattice_shortest_risk(env, plan, p0: Vec3, pf: Vec3) -> float:
             nxt = lat.flat_of(jx, jy, jz)
             if not prob.node_feasible(nxt) or not prob.move_feasible(n, nxt):
                 continue
-            cand = d + lat.pitch * math.sqrt(dx * dx + dy * dy + dz * dz)
+            cand = d + lat.spacing * math.sqrt(dx * dx + dy * dy + dz * dz)
             if cand < dist.get(nxt, math.inf):
                 dist[nxt] = cand
                 parent[nxt] = n

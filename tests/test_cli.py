@@ -2,16 +2,20 @@
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import pytest
 import yaml
 from click.testing import CliRunner
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from solarnav.cli import main
 from solarnav.scenario_io import (ParseError, ValidationError, load_scenario,
-                                  load_scenario_file, save_scenario,
-                                  scenario_digest, scenario_from_dict, section4_preset)
+                                  load_scenario_file, save_scenario, scenario_digest,
+                                  scenario_from_dict, scenario_to_dict, section4_preset,
+                                  section5_preset)
 
 MINIMAL = """
 name: minimal
@@ -109,7 +113,13 @@ def test_plan_unknown_planner_usage_error(tmp_path):
     ("world.altitude.min", "abc"),
     ("privacy.m_layers", 0), ("privacy.m_layers", 2.7), ("privacy.m_layers", None),
     ("privacy.t_max", float("nan")), ("privacy.t_max", 0), ("privacy.pitch", float("nan")),
-    ("privacy.pitch", 0), ("privacy.pitch", 1e-300)],
+    ("privacy.pitch", 0), ("privacy.pitch", 1e-300),
+    ("world.sun.azimuth", "abc"), ("world.sun.elevation", None),
+    ("world.sun.azimuth", float("nan")), ("avoidance.alpha_safe_deg", "abc"),
+    ("avoidance.threshold_deg", []), ("avoidance.threshold_deg", float("nan")),
+    ("limits.u_max", float("nan")), ("limits.u_max", float("inf")),
+    ("limits.v_max", float("inf")), ("energy.harvest.g", float("inf")),
+    ("energy.consumption.v", float("nan"))],
     ids=lambda v: v.removeprefix("mission.") if isinstance(v, str) else None)
 def test_plan_rejects_bad_grid_parameters(tmp_path, field, value):
     """A malformed or over-budget field exits 2 and names its path."""
@@ -148,6 +158,77 @@ def test_plan_rejects_bad_list_entries(tmp_path, field, value):
     assert field in result.output
 
 
+def test_altitude_model_rejects_a_nonpositive_scale_height(tmp_path):
+    """delta_c <= 0 exits 2 at load instead of failing the altitude-model plan."""
+    doc = yaml.safe_load(MINIMAL)
+    doc["energy"] = {"model": "altitude", "harvest": {"delta_c": 0}}
+    result = CliRunner().invoke(main, ["plan", "-s", write(tmp_path, yaml.safe_dump(doc))])
+    assert result.exit_code == 2, result.output
+    assert "energy.harvest: delta_c must be positive" in result.output
+
+
+def _with_optional_fields(doc):
+    doc["world"]["sun"].update(azimuth=1.2, elevation=0.9)
+    doc["energy"]["harvest"]["delta_c"] = 8000.0
+    doc["sim"]["arrival_radius"] = 15.0
+    doc["privacy"] = {"m_layers": 12, "t_max": 60.0, "pitch": 20.0}
+    doc.setdefault("avoidance", {})["align_tolerance_deg"] = 5.0
+    return doc
+
+
+def _leaves(node, path=()):
+    """Paths to every scalar of a nested mapping and its lists."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        if isinstance(value, (dict, list)):
+            yield from _leaves(value, path + (key,))
+        else:
+            yield path + (key,)
+
+
+def _numbers(node):
+    if isinstance(node, dict):
+        node = list(node.values())
+    if isinstance(node, list):
+        for value in node:
+            yield from _numbers(value)
+    elif isinstance(node, (int, float)):
+        yield node
+
+
+PRESET_DOCS = {"section4": lambda: _with_optional_fields(section4_preset()),
+               "section5": lambda: _with_optional_fields(section5_preset())}
+PRESET_LEAVES = [(name, path) for name, doc in PRESET_DOCS.items() for path in _leaves(doc())]
+
+
+@settings(max_examples=400, deadline=None)
+@given(leaf=st.sampled_from(PRESET_LEAVES),
+       value=st.sampled_from([float("nan"), float("inf"), -float("inf"), "abc", None, [], {},
+                              -1, 0, 1e308]))
+@example(leaf=("section5", ("avoidance", "threshold_deg")), value=float("nan"))
+@example(leaf=("section5", ("limits", "u_max")), value=float("inf"))
+@example(leaf=("section4", ("energy", "harvest", "g")), value=float("inf"))
+@example(leaf=("section4", ("energy", "consumption", "v")), value=float("nan"))
+@example(leaf=("section4", ("world", "sun", "azimuth")), value=float("nan"))
+@example(leaf=("section4", ("world", "prisms", 0, "exponents", 1)), value=1e308)
+@example(leaf=("section4", ("privacy", "m_layers")), value=1e308)
+@example(leaf=("section5", ("sim", "arrival_radius")), value=-1)
+def test_loader_rejects_or_keeps_every_number_finite(leaf, value):
+    """One leaf of a preset set to a bad value: the loader raises ParseError or
+    ValidationError, or returns a scenario whose numbers are all finite."""
+    name, path = leaf
+    doc = PRESET_DOCS[name]()
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    try:
+        sc = scenario_from_dict(doc)
+    except (ParseError, ValidationError):
+        return
+    assert all(math.isfinite(x) for x in _numbers(scenario_to_dict(sc)))
+
+
 def test_oversized_lattice_rejected_before_any_grid(tmp_path, monkeypatch):
     """section4 at 1 cm would need 3e13 lattice nodes: the loader rejects it
     before any grid array is allocated."""
@@ -174,7 +255,7 @@ def test_dp_budget_is_checked_where_the_dp_runs(tmp_path, monkeypatch):
     for args in (["simulate"], ["plan", "-p", "energy"], ["compare", "-p", "energy,time"]):
         result = CliRunner().invoke(main, args + ["-s", path])
         assert result.exit_code == 0, result.output
-    monkeypatch.setattr("solarnav.privacy.is_collision",
+    monkeypatch.setattr("solarnav.privacy.clear_of_prisms",
                         lambda *_args: pytest.fail("node tested"))
     for args in (["plan", "-p", "privacy"], ["compare", "-p", "energy,privacy"]):
         result = CliRunner().invoke(main, args + ["-s", path])

@@ -6,10 +6,13 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from solarnav import (ConsumptionParams, EmptyGrid, EnergyModel, HarvestModel,
-                      HarvestParams, Prism, SunModel, Vec3, build_grid,
+from solarnav import (Box, ConsumptionParams, DpLattice, EmptyGrid, EnergyModel, Environment,
+                      HarvestModel, HarvestParams, Prism, SunModel, Vec3, build_grid,
                       energy_edge_cost, segment_blocked)
+from solarnav.privacy import _lattice_offsets
 
 from conftest import empty_env, env_with, random_env
 from oracles import reference_edge_cost
@@ -151,3 +154,37 @@ def test_edge_cost_rejects_non_edges():
                  (a, -1), (a, grid.node_count), (above, occupied)):
         with pytest.raises(ValueError):
             grid.edge_cost(x, y)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dims=st.tuples(*(st.integers(1, 6),) * 3),
+       origin=st.tuples(*(st.floats(-1000.0, 1000.0),) * 3),
+       spacing=st.floats(0.5, 50.0))
+def test_lattice_indexing_round_trips(dims, origin, spacing):
+    """NavGrid and DpLattice index and place nodes through their shared base:
+    flat indices round-trip, the array flat_of agrees with the scalar one,
+    every node snaps back to itself, and a point one spacing past the first
+    or last node along any axis is outside the lattice."""
+    lo = Vec3(*origin)
+    hi = Vec3(*(o + (n - 0.5) * spacing for o, n in zip(origin, dims)))
+    env = Environment(bounds=Box(lo, hi), sun=SunModel(Vec3(*origin[:2], origin[2] + 5000.0)))
+    grid = build_grid(env, spacing)
+    dp = DpLattice(origin=np.array(origin), spacing=spacing, dims=dims, delta=1.0,
+                   m_layers=1, offsets=_lattice_offsets(dims[2] == 1))
+    assert grid.dims == dims
+    for lat in (grid, dp):
+        idx = lat.indices()
+        flats = lat.flat_of(*idx.T)
+        assert flats.tolist() == list(range(lat.node_count))
+        assert flats.tolist() == [lat.flat_of(*map(int, i)) for i in idx]
+        coords = lat.node_coords(idx)
+        for f in range(lat.node_count):
+            assert lat.flat_of(*lat.unflatten(f)) == f
+            assert lat.index_of_point(lat.node_point(f)) == f
+            assert lat.node_xyz(f) == tuple(coords[f])
+        first, last = lat.node_point(0), lat.node_point(lat.node_count - 1)
+        for axis in range(3):
+            step = np.eye(3)[axis] * spacing
+            for p in (last.as_array() + step, first.as_array() - step):
+                with pytest.raises(ValueError, match="outside the lattice"):
+                    lat.index_of_point(Vec3.from_array(p))

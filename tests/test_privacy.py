@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 
 import solarnav.privacy as privacy_mod
 from solarnav import (Box, DpLattice, Environment, Prism, PrivacyRegion, SunModel, Unreachable,
-                      Vec3, plan_privacy_dp, privacy_intensity, total_privacy_risk)
+                      Vec3, is_collision, plan_privacy_dp, privacy_intensity,
+                      total_privacy_risk)
+from solarnav.world import clear_of_prisms
 from oracles import (ReferenceDpProblem, dp_optimum_by_path_enumeration,
                      dp_value_by_recursion, reference_dp_tables, riemann_risk)
 
@@ -284,7 +286,7 @@ def test_dp_tables_match_scalar_reference(dims, m, v_max, stage, pitch, regions,
     pf_idx = (ends[3] % nx, ends[4] % ny, zs[1])
     p0, pf = (Vec3(pitch * ix, pitch * iy, z_base + pitch * iz)
               for ix, iy, iz in (p0_idx, pf_idx))
-    lat = DpLattice(origin=np.array([0.0, 0.0, z_base]), pitch=pitch, dims=dims,
+    lat = DpLattice(origin=np.array([0.0, 0.0, z_base]), spacing=pitch, dims=dims,
                     delta=t_max / m, m_layers=m, offsets=privacy_mod._lattice_offsets(planar))
     prob = ReferenceDpProblem(env, lat, v_max, 16)
     p0_flat, pf_flat = lat.flat_of(*p0_idx), lat.flat_of(*pf_idx)
@@ -346,21 +348,58 @@ def _moves_into_reach(prob, lat, pf_flat, m):
     return nodes, moves
 
 
+def test_vector_node_test_matches_is_collision():
+    """The DP's vector node test and build_grid's prism test decide as the
+    scalar is_collision on prism surfaces, inside and outside prisms, 1e-12
+    off their surfaces, on the bounds walls and on the altitude band edges."""
+    prisms = (Prism(Vec3(40, 50, 20), (20.0, 10.0, 15.0), (2, 2, 2)),
+              Prism(Vec3(120, 100, 20), (15.0, 25.0, 10.0), (1, 1, 1)),
+              Prism(Vec3(80, 160, 10), (10.0, 12.0, 30.0), (1, 3, 4)))
+    env = Environment(bounds=Box(Vec3(0, 0, 0), Vec3(200, 200, 40.0)), known_obstacles=prisms,
+                      sun=SunModel(Vec3(100, 100, 5000.0)), z_min=5.0, z_max=35.0)
+    points = [(100.0, 100.0, 20.0), (5.0, 195.0, 30.0)]
+    for prism in prisms:
+        c = prism.center.as_array()
+        points.append(tuple(c))
+        for axis, a in enumerate(prism.semi_axes):
+            for sign in (-1.0, 1.0):
+                for off in (0.0, -1e-12, 1e-12, -0.5, 0.5):
+                    p = c.copy()
+                    p[axis] += sign * (a + off)
+                    points.append(tuple(p))
+    for axis, (lo, hi) in enumerate(((0.0, 200.0), (0.0, 200.0), (5.0, 35.0))):
+        for wall in (lo, hi, lo - 1e-12, hi + 1e-12, lo + 1e-12, hi - 1e-12):
+            p = [100.0, 100.0, 20.0]
+            p[axis] = wall
+            points.append(tuple(p))
+    for z in (0.0, 40.0, 0.0 - 1e-12, 40.0 + 1e-12):  # the bounds' z walls, outside the band
+        points.append((100.0, 100.0, z))
+    pts = np.array(points)
+    scalar = [not is_collision(Vec3(*p), env) for p in points]
+    assert privacy_mod._nodes_ok(env, pts).tolist() == scalar
+    assert 0 < sum(scalar) < len(scalar)
+    inside = pts[[env.bounds.contains(Vec3(*p)) and 5.0 <= p[2] <= 35.0 for p in points]]
+    for margin in (0.0, 2.0):
+        assert clear_of_prisms(env, inside, margin).tolist() == \
+            [not is_collision(Vec3(*p), env, margin) for p in inside]
+
+
 def test_dp_tests_each_move_segment_once(monkeypatch):
     """The prism test runs once per directed non-hold move between feasible
     nodes into the nodes within m_layers - 1 steps of the target, and the
-    node test once per node within m_layers steps (plus start and target).
+    vector node test takes each node within m_layers steps once (plus start
+    and target).
     Once the horizon spans the lattice, doubling it adds no test; a short
     horizon on a wide lattice tests only the target's neighbourhood."""
     prisms = (Prism(Vec3(60, 50, 20), (12.0, 25.0, 30.0), (2, 2, 2)),
               Prism(Vec3(20, 90, 20), (8.0, 8.0, 30.0), (1, 1, 1)))
     env = flat_env(size=120.0, prisms=prisms)
     segments, nodes = [], []
-    blocked, collision = privacy_mod.segment_blocked, privacy_mod.is_collision
+    blocked, clear = privacy_mod.segment_blocked, privacy_mod.clear_of_prisms
     monkeypatch.setattr(privacy_mod, "segment_blocked",
                         lambda *args: segments.append(args) or blocked(*args))
-    monkeypatch.setattr(privacy_mod, "is_collision",
-                        lambda *args: nodes.append(args) or collision(*args))
+    monkeypatch.setattr(privacy_mod, "clear_of_prisms",
+                        lambda env, points: nodes.extend(points) or clear(env, points))
     counts = {}
     for m in (14, 7, 2, 1):
         segments.clear()
@@ -386,7 +425,7 @@ def test_dp_state_budget_counts_reachable_nodes(monkeypatch):
     with pytest.raises(Unreachable):  # 25^3 nodes x 13 layers, all in free space
         plan_privacy_dp(env, Vec3(20, 100, 20), Vec3(140, 100, 20), 12, 48.0, 10.0,
                         pitch=0.5)
-    monkeypatch.setattr(privacy_mod, "is_collision",
+    monkeypatch.setattr(privacy_mod, "clear_of_prisms",
                         lambda *_args: pytest.fail("node tested"))
     with pytest.raises(privacy_mod.DpBudgetExceeded, match="budget"):  # 81^3 x 41
         plan_privacy_dp(env, Vec3(20, 100, 20), Vec3(140, 100, 20), 40, 48.0, 10.0,
