@@ -11,10 +11,8 @@ from .control import (AvoidanceParams, ControlLimits, Detection, LimitClamped, M
                       sense_obstacles, step_kinematics_3d, step_kinematics_planar,
                       supervisor_step, wrap_angle)
 from .energy import (BatteryDepleted, BatteryState, ConsumptionParams, EnergyModel,
-                     HarvestModel, HarvestParams, MotionKind, MotionSegment,
-                     battery_step, consumption_energy, harvest_power_altitude,
-                     harvest_power_clear, harvest_power_cloud, incidence_cosine,
-                     motion_segment)
+                     HarvestModel, HarvestParams, battery_step, harvest_power_altitude,
+                     harvest_power_clear, harvest_power_cloud, incidence_cosine)
 from .grid import EdgeCost, EmptyGrid, NavGrid, build_grid
 from .planning import (NoPath, NodeInObstacle, Path, attach_battery_profile,
                        energy_edge_cost, length_edge_cost, plan_energy_efficient,

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Tuple
 
 
 class BatteryDepleted(Exception):
@@ -14,12 +15,6 @@ class BatteryDepleted(Exception):
         super().__init__(f"battery {energy:.3f} J below floor {floor:.3f} J")
         self.energy = energy
         self.floor = floor
-
-
-class MotionKind(Enum):
-    LEVEL = "level"
-    CLIMB = "climb"
-    DESCEND = "descend"
 
 
 @dataclass(frozen=True)
@@ -39,6 +34,22 @@ class ConsumptionParams:
                 raise ValueError(f"{name} must be positive")
         if not self.p_down <= self.p_level <= self.p_up:
             raise ValueError("require p_down <= p_level <= p_up")
+
+    def move(self, distance: float, dz: float) -> Tuple[float, float]:
+        """Joules spent and seconds taken to fly `distance` horizontal meters
+        while changing altitude by `dz`: the level term plus a climb or
+        descent term. Horizontal and vertical components run simultaneously;
+        the move lasts as long as the slower component."""
+        e_out = self.p_level * distance / self.v
+        if dz > 0:
+            e_out += self.p_up * dz / self.v_up
+            v_vert = self.v_up
+        elif dz < 0:
+            e_out += self.p_down * (-dz) / self.v_down
+            v_vert = self.v_down
+        else:
+            v_vert = 1.0
+        return e_out, max(distance / self.v, abs(dz) / v_vert)
 
 
 @dataclass(frozen=True)
@@ -80,52 +91,6 @@ class HarvestModel(Enum):
     CLEAR = "clear"
     CLOUD = "cloud"
     ALTITUDE = "altitude"
-
-
-@dataclass(frozen=True)
-class MotionSegment:
-    """One planned move: horizontal run, altitude change and duration."""
-
-    kind: MotionKind
-    distance: float   # horizontal meters
-    dz: float         # signed altitude change, meters
-    duration: float   # seconds
-
-    def __post_init__(self):
-        if self.distance < 0 or self.duration < 0:
-            raise ValueError("distance and duration must be nonnegative")
-        if self.kind is MotionKind.LEVEL and self.dz != 0:
-            raise ValueError("level segment cannot change altitude")
-        if self.kind is MotionKind.CLIMB and self.dz < 0:
-            raise ValueError("climb segment requires dz >= 0")
-        if self.kind is MotionKind.DESCEND and self.dz > 0:
-            raise ValueError("descent segment requires dz <= 0")
-
-
-def motion_segment(distance: float, dz: float, params: ConsumptionParams) -> MotionSegment:
-    """Classify a move and assign its duration.
-
-    Horizontal and vertical components run simultaneously; the move lasts as
-    long as the slower component.
-    """
-    if dz > 0:
-        kind, v_vert = MotionKind.CLIMB, params.v_up
-    elif dz < 0:
-        kind, v_vert = MotionKind.DESCEND, params.v_down
-    else:
-        kind, v_vert = MotionKind.LEVEL, 1.0
-    duration = max(distance / params.v, abs(dz) / v_vert)
-    return MotionSegment(kind, distance, dz, duration)
-
-
-def consumption_energy(seg: MotionSegment, params: ConsumptionParams) -> float:
-    """Joules spent on one segment: level term plus a climb or descent term."""
-    e = params.p_level * seg.distance / params.v
-    if seg.dz > 0:
-        e += params.p_up * seg.dz / params.v_up
-    elif seg.dz < 0:
-        e += params.p_down * (-seg.dz) / params.v_down
-    return e
 
 
 def incidence_cosine(bank: float, heading: float, azimuth: float, elevation: float) -> float:
@@ -172,6 +137,13 @@ class EnergyModel:
         if self.mode is HarvestModel.CLOUD:
             return harvest_power_cloud(z, self.harvest)
         return harvest_power_altitude(z, self.harvest)
+
+    def gain(self, elevation: float, shadowed: bool, z: float, duration: float) -> float:
+        """Joules harvested over `duration` seconds at altitude z. The panel
+        flies level (zero bank), so its incidence cosine is sin(elevation)
+        whatever the heading and the sun's azimuth."""
+        cos_theta = incidence_cosine(0.0, 0.0, 0.0, elevation)
+        return self.harvest_power(cos_theta, shadowed, z) * duration
 
     def max_harvest_power(self) -> float:
         """Optimistic harvest bound used by admissible planner heuristics."""

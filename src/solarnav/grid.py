@@ -9,7 +9,7 @@ from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
-from .energy import EnergyModel, consumption_energy, incidence_cosine, motion_segment
+from .energy import EnergyModel
 # in_shadow stays importable here: bench/tracing.py binds it on this module.
 from .world import Environment, Vec3, clear_of_prisms, in_shadow, segments_blocked  # noqa: F401
 
@@ -274,19 +274,16 @@ def _offset_tables(env: Environment, energy: EnergyModel, offsets: np.ndarray,
     """Consumption, duration and length of each motion primitive k, and the
     harvest of a sunlit edge leaving layer iz along k, taken at the edge's
     midpoint altitude (zero where the edge would leave the lattice)."""
-    cons = energy.consumption
-    sun = env.sun
-    cos_theta = incidence_cosine(0.0, 0.0, sun.azimuth, sun.elevation)
+    elevation = env.sun.elevation
     nz = len(zs)
-    e_out, duration = [], []
+    moves = [energy.consumption.move(math.hypot(dx, dy), dz)
+             for dx, dy, dz in (offsets * resolution).tolist()]
     lit_gain = np.zeros((offsets.shape[0], nz))
-    for k, (dx, dy, dz) in enumerate((offsets * resolution).tolist()):
-        seg = motion_segment(math.hypot(dx, dy), dz, cons)
-        e_out.append(consumption_energy(seg, cons))
-        duration.append(seg.duration)
+    for k, (_, seconds) in enumerate(moves):
         step = int(offsets[k, 2])
         for iz in range(max(0, -step), min(nz, nz - step)):
             z_mid = (zs[iz] + zs[iz + step]) / 2.0
-            lit_gain[k, iz] = energy.harvest_power(cos_theta, False, z_mid) * seg.duration
-    return (np.array(e_out), np.array(duration),
+            lit_gain[k, iz] = energy.gain(elevation, False, z_mid, seconds)
+    e_out, duration = np.array(moves).T.copy()
+    return (e_out, duration,
             np.linalg.norm(offsets * resolution, axis=1), lit_gain)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from dataclasses import asdict
 from typing import Any, Dict, Optional
 
 import yaml
@@ -123,11 +124,23 @@ def scenario_from_dict(data: Dict[str, Any]) -> Scenario:
         p = _mapping(p, where)
         axes = _list(p.get("semi_axes", ()), where + ".semi_axes")
         exps = _list(p.get("exponents", (1, 1, 1)), where + ".exponents")
-        prisms.append(_build(
+        prism = _build(
             Prism, {}, where,
             center=_vec(p.get("center"), where + ".center"),
             semi_axes=tuple(_real(v, f"{where}.semi_axes[{j}]") for j, v in enumerate(axes)),
-            exponents=tuple(_integer(v, f"{where}.exponents[{j}]") for j, v in enumerate(exps))))
+            exponents=tuple(_integer(v, f"{where}.exponents[{j}]") for j, v in enumerate(exps)))
+        # Gamma's term on the bounds face farthest from the center is each
+        # axis's largest inside the world: if it is finite, every level value is.
+        for j, (c, lo, hi, a, e) in enumerate(zip(
+                prism.center.as_tuple(), bounds.lo.as_tuple(), bounds.hi.as_tuple(),
+                prism.semi_axes, prism.exponents)):
+            try:
+                ((max(c - lo, hi - c) / a) ** 2) ** e
+            except OverflowError:
+                raise ValidationError(f"{where}.exponents[{j}]",
+                                      f"overflows gamma within the world bounds, "
+                                      f"got {exps[j]!r}") from None
+        prisms.append(prism)
 
     regions = []
     for i, r in enumerate(_list(world.get("privacy_regions", []), "world.privacy_regions")):
@@ -268,19 +281,13 @@ def scenario_to_dict(sc: Scenario) -> Dict[str, Any]:
         },
         "energy": {
             "model": sc.energy.mode.value,
-            "consumption": {k: getattr(sc.energy.consumption, k)
-                            for k in ("p_level", "p_up", "p_down", "v", "v_up", "v_down")},
-            "harvest": {k: getattr(sc.energy.harvest, k)
-                        for k in ("eta", "g", "s", "h_up", "h_down",
-                                  "beta_c", "alpha_c", "delta_c")},
+            "consumption": asdict(sc.energy.consumption),
+            "harvest": asdict(sc.energy.harvest),
         },
         "battery": {"initial": sc.battery.energy, "capacity": sc.battery.capacity,
                     "floor": sc.battery.floor},
-        "limits": {k: getattr(sc.limits, k)
-                   for k in ("v_min", "v_max", "u_max", "cruise", "climb_rate")},
-        "avoidance": {k: getattr(sc.avoidance, k)
-                      for k in ("alpha_safe", "threshold", "r_sensor",
-                                "trigger_distance", "align_tolerance")},
+        "limits": asdict(sc.limits),
+        "avoidance": asdict(sc.avoidance),
         "unknown_obstacles": [{"center": list(o.center.as_tuple()),
                                "radius": o.radius,
                                "velocity": list(o.velocity.as_tuple())}

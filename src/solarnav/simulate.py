@@ -7,14 +7,11 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .control import (AvoidanceParams, ControlLimits, Detection, Mode, UavState,
                       avoidance_command, pursuit_command, pursuit_lookahead,
                       realign_command, sense_obstacles, step_kinematics_3d,
                       step_kinematics_planar, supervisor_step)
-from .energy import (BatteryDepleted, BatteryState, EnergyModel, battery_step,
-                     consumption_energy, incidence_cosine, motion_segment)
+from .energy import BatteryDepleted, BatteryState, EnergyModel, battery_step
 from .grid import EmptyGrid, NavGrid, build_grid
 from .planning import NoPath, NodeInObstacle, Path, attach_battery_profile, \
     plan_energy_efficient, plan_shortest, plan_time_efficient
@@ -174,13 +171,16 @@ class Metrics:
 
 
 def _sphere_blocks_segment(a: Vec3, b: Vec3, center: Vec3, radius: float) -> bool:
-    av = a.as_array()
-    ab = b.as_array() - av
-    denom = float(ab @ ab)
+    abx, aby, abz = b.x - a.x, b.y - a.y, b.z - a.z
+    denom = abx * abx + aby * aby + abz * abz
     if denom == 0.0:
         return a.dist_to(center) <= radius
-    t = float(np.clip((center.as_array() - av) @ ab / denom, 0.0, 1.0))
-    return float(np.linalg.norm(center.as_array() - (av + t * ab))) <= radius
+    t = ((center.x - a.x) * abx + (center.y - a.y) * aby + (center.z - a.z) * abz) / denom
+    t = min(max(t, 0.0), 1.0)
+    dx = center.x - (a.x + t * abx)
+    dy = center.y - (a.y + t * aby)
+    dz = center.z - (a.z + t * abz)
+    return math.sqrt(dx * dx + dy * dy + dz * dz) <= radius
 
 
 def shadowed_at(env: Environment, p: Vec3, t: float,
@@ -189,7 +189,7 @@ def shadowed_at(env: Environment, p: Vec3, t: float,
     if in_shadow(env, p, t):
         return True
     sun = env.sun.position_at(t)
-    return any(_sphere_blocks_segment(sun, p, o.at(t).center, o.radius)
+    return any(_sphere_blocks_segment(sun, p, o.center + o.velocity.scaled(t), o.radius)
                for o in obstacles)
 
 
@@ -319,12 +319,9 @@ def run_scenario(sc: Scenario, mode: str = "hybrid",
         obstacles = step_obstacles(obstacles, sc.dt)
         t += sc.dt
 
-        dz = state.position.z - log.records[-1].z
-        seg = motion_segment(v_cmd * sc.dt, dz, cons)
-        e_out = consumption_energy(seg, cons)
+        e_out, _ = cons.move(v_cmd * sc.dt, state.position.z - log.records[-1].z)
         shadow = shadowed_at(sc.env, state.position, t, sc.unknown_obstacles)
-        cos_theta = incidence_cosine(0.0, state.heading, sun.azimuth, sun.elevation)
-        e_gain = sc.energy.harvest_power(cos_theta, shadow, state.position.z) * sc.dt
+        e_gain = sc.energy.gain(sun.elevation, shadow, state.position.z, sc.dt)
         try:
             battery = battery_step(state.battery, e_out, e_gain)
         except BatteryDepleted as exc:
@@ -376,7 +373,7 @@ def compute_metrics(log: SimLog, sc: Scenario) -> Metrics:
         raise ValueError("log must contain at least one record")
     recs = log.records
     cons = sc.energy.consumption
-    sun = sc.env.sun
+    elevation = sc.env.sun.elevation
     e_out_total = 0.0
     e_gain_total = 0.0
     applied_total = 0.0
@@ -386,10 +383,8 @@ def compute_metrics(log: SimLog, sc: Scenario) -> Metrics:
     cap = sc.battery.capacity
     for prev, cur in zip(recs, recs[1:]):
         dt = cur.t - prev.t
-        seg = motion_segment(cur.v * dt, cur.z - prev.z, cons)
-        e_out = consumption_energy(seg, cons)
-        cos_theta = incidence_cosine(0.0, cur.theta, sun.azimuth, sun.elevation)
-        e_gain = sc.energy.harvest_power(cos_theta, cur.shadow, cur.z) * dt
+        e_out, _ = cons.move(cur.v * dt, cur.z - prev.z)
+        e_gain = sc.energy.gain(elevation, cur.shadow, cur.z, dt)
         new_level = min(cap, level - e_out + e_gain)
         applied_total += new_level - level + e_out
         level = new_level
@@ -419,15 +414,13 @@ def energy_audit(log: SimLog, sc: Scenario) -> float:
     """Double-entry residual: recomputed flows vs the logged battery trace."""
     recs = log.records
     cons = sc.energy.consumption
-    sun = sc.env.sun
+    elevation = sc.env.sun.elevation
     level = recs[0].battery
     worst = 0.0
     for prev, cur in zip(recs, recs[1:]):
         dt = cur.t - prev.t
-        seg = motion_segment(cur.v * dt, cur.z - prev.z, cons)
-        e_out = consumption_energy(seg, cons)
-        cos_theta = incidence_cosine(0.0, cur.theta, sun.azimuth, sun.elevation)
-        e_gain = sc.energy.harvest_power(cos_theta, cur.shadow, cur.z) * dt
+        e_out, _ = cons.move(cur.v * dt, cur.z - prev.z)
+        e_gain = sc.energy.gain(elevation, cur.shadow, cur.z, dt)
         level = min(sc.battery.capacity, level - e_out + e_gain)
         worst = max(worst, abs(level - cur.battery))
     return worst

@@ -1,7 +1,8 @@
 """Independent brute-force oracles used to cross-check the library.
 
 Every oracle here recomputes its answer by a different mechanism than the
-code under test: dense ray-marching instead of analytic minimization, doubling
+code under test: a classify-then-price pass per move instead of one pass,
+dense ray-marching instead of analytic minimization, doubling
 and bisection on Vec3 points instead of a closed-form bracket, dense
 resampling instead of arc-length walking, per-edge scalar evaluation instead
 of per-offset tables and a batched shadow mask, product-graph search instead
@@ -20,9 +21,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from solarnav import (BatteryState, EdgeCost, Environment, NavGrid, NoPath, Path, Prism,
-                      PrivacyRegion, Vec3, consumption_energy, gamma, in_shadow,
-                      incidence_cosine, is_collision, motion_segment, segment_blocked)
+from solarnav import (BatteryState, ConsumptionParams, EdgeCost, Environment, NavGrid,
+                      NoPath, Path, Prism, PrivacyRegion, Vec3, gamma, in_shadow,
+                      incidence_cosine, is_collision, segment_blocked)
 from solarnav.privacy import DpLattice
 
 
@@ -76,15 +77,35 @@ def reference_edge_cost(grid: NavGrid, a: int, b: int) -> EdgeCost:
     pb = np.array(grid.node_xyz(b))
     d_h = float(math.hypot(pb[0] - pa[0], pb[1] - pa[1]))
     dz = float(pb[2] - pa[2])
-    seg = motion_segment(d_h, dz, grid.energy.consumption)
-    e_out = consumption_energy(seg, grid.energy.consumption)
+    e_out, duration = grid.energy.consumption.move(d_h, dz)
     mid = Vec3.from_array((pa + pb) / 2.0)
     shadowed = in_shadow(grid.env, mid, 0.0)
     sun = grid.env.sun
     cos_theta = incidence_cosine(0.0, 0.0, sun.azimuth, sun.elevation)
     power = grid.energy.harvest_power(cos_theta, shadowed, mid.z)
-    return EdgeCost(e_out, power * seg.duration, seg.duration,
+    return EdgeCost(e_out, power * duration, duration,
                     float(np.linalg.norm(pb - pa)), shadowed)
+
+
+def reference_move(distance: float, dz: float,
+                   params: ConsumptionParams) -> Tuple[float, float]:
+    """(e_out, duration) of one move in two passes: first classify the move
+    as a climb, a descent or level and take the slower of its horizontal and
+    vertical components as its duration, then sum the level term and a climb
+    or descent term."""
+    if dz > 0:
+        v_vert = params.v_up
+    elif dz < 0:
+        v_vert = params.v_down
+    else:
+        v_vert = 1.0
+    duration = max(distance / params.v, abs(dz) / v_vert)
+    e = params.p_level * distance / params.v
+    if dz > 0:
+        e += params.p_up * dz / params.v_up
+    elif dz < 0:
+        e += params.p_down * (-dz) / params.v_down
+    return e, duration
 
 
 def resampled_lookahead(waypoints: Sequence[Vec3], p: Vec3, lookahead: float,

@@ -119,7 +119,11 @@ def test_plan_unknown_planner_usage_error(tmp_path):
     ("avoidance.threshold_deg", []), ("avoidance.threshold_deg", float("nan")),
     ("limits.u_max", float("nan")), ("limits.u_max", float("inf")),
     ("limits.v_max", float("inf")), ("energy.harvest.g", float("inf")),
-    ("energy.consumption.v", float("nan"))],
+    ("energy.consumption.v", float("nan")),
+    ("world.prisms", [{"center": [100, 40, 60], "semi_axes": [20, 20, 60],
+                       "exponents": [4, 1e308, 4]}]),
+    ("world.prisms", [{"center": [100, 40, 60], "semi_axes": [20, 20, 60],
+                       "exponents": [4, 200, 4]}])],
     ids=lambda v: v.removeprefix("mission.") if isinstance(v, str) else None)
 def test_plan_rejects_bad_grid_parameters(tmp_path, field, value):
     """A malformed or over-budget field exits 2 and names its path."""
@@ -156,6 +160,21 @@ def test_plan_rejects_bad_list_entries(tmp_path, field, value):
     result = CliRunner().invoke(main, ["plan", "-s", path])
     assert result.exit_code == 2, result.output
     assert field in result.output
+
+
+@pytest.mark.parametrize("preset, index, exponents, field, given", [
+    (section4_preset, 1, [4, 1e308, 4], "world.prisms[1].exponents[1]", "1e+308"),
+    (section5_preset, 0, [200, 200, 200], "world.prisms[0].exponents[0]", "200"),
+    (section4_preset, 1, [4, 200, 4], "world.prisms[1].exponents[1]", "200")],
+    ids=("section4-1e308", "section5-200", "section4-200"))
+def test_prism_exponent_overflow_is_named(tmp_path, preset, index, exponents, field, given):
+    """An exponent whose gamma term overflows on the bounds face farthest from
+    the prism center exits 2 and names the exponent and its value."""
+    doc = preset()
+    doc["world"]["prisms"][index]["exponents"] = exponents
+    result = CliRunner().invoke(main, ["plan", "-s", write(tmp_path, yaml.safe_dump(doc))])
+    assert result.exit_code == 2, result.output
+    assert f"{field}: overflows gamma within the world bounds, got {given}" in result.output
 
 
 def test_altitude_model_rejects_a_nonpositive_scale_height(tmp_path):

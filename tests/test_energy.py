@@ -5,14 +5,14 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from solarnav import (BatteryDepleted, BatteryState, ConsumptionParams, EnergyModel,
-                      HarvestModel, HarvestParams, MotionKind, battery_step,
-                      consumption_energy, harvest_power_altitude,
-                      harvest_power_clear, harvest_power_cloud, incidence_cosine,
-                      motion_segment)
+                      HarvestModel, HarvestParams, battery_step, harvest_power_altitude,
+                      harvest_power_clear, harvest_power_cloud, incidence_cosine)
+
+from oracles import reference_move
 
 CRUISE = ConsumptionParams(p_level=30.0, p_up=34.0, p_down=26.0,
                            v=12.0, v_up=3.0, v_down=3.0)
@@ -22,51 +22,75 @@ PANEL = HarvestParams(eta=0.2, g=380.0, s=0.3)
 # ---------------------------------------------------------------- consumption
 
 def test_level_energy_from_table_constants():
-    seg = motion_segment(120.0, 0.0, CRUISE)
-    assert consumption_energy(seg, CRUISE) == pytest.approx(300.0)
+    e_out, _ = CRUISE.move(120.0, 0.0)
+    assert e_out == pytest.approx(300.0)
 
 
 def test_climb_energy():
-    seg = motion_segment(0.0, 12.0, CRUISE)
-    assert consumption_energy(seg, CRUISE) == pytest.approx(136.0)
+    e_out, _ = CRUISE.move(0.0, 12.0)
+    assert e_out == pytest.approx(136.0)
 
 
 def test_zero_descent_costs_nothing():
-    seg = motion_segment(0.0, 0.0, CRUISE)
-    assert seg.kind is MotionKind.LEVEL
-    assert consumption_energy(seg, CRUISE) == 0.0
+    e_out, duration = CRUISE.move(0.0, 0.0)
+    assert duration == 0.0
+    assert e_out == 0.0
 
 
 def test_descent_uses_down_power():
-    seg = motion_segment(0.0, -9.0, CRUISE)
-    assert seg.kind is MotionKind.DESCEND
-    assert consumption_energy(seg, CRUISE) == pytest.approx(26.0 * 9.0 / 3.0)
+    e_out, duration = CRUISE.move(0.0, -9.0)
+    assert duration == pytest.approx(9.0 / 3.0)
+    assert e_out == pytest.approx(26.0 * 9.0 / 3.0)
 
 
 def test_diagonal_sums_level_and_vertical_terms():
-    seg = motion_segment(60.0, 9.0, CRUISE)
-    level = consumption_energy(motion_segment(60.0, 0.0, CRUISE), CRUISE)
-    climb = consumption_energy(motion_segment(0.0, 9.0, CRUISE), CRUISE)
-    assert consumption_energy(seg, CRUISE) == pytest.approx(level + climb)
-    assert seg.duration == pytest.approx(max(60.0 / 12.0, 9.0 / 3.0))
+    e_out, duration = CRUISE.move(60.0, 9.0)
+    level, _ = CRUISE.move(60.0, 0.0)
+    climb, _ = CRUISE.move(0.0, 9.0)
+    assert e_out == pytest.approx(level + climb)
+    assert duration == pytest.approx(max(60.0 / 12.0, 9.0 / 3.0))
 
 
 @given(st.floats(0.0, 500.0), st.floats(0.0, 500.0), st.floats(-80.0, 80.0))
 @settings(max_examples=200)
 def test_consumption_additive_over_concatenation(d1, d2, dz):
     """Splitting a move into two legs conserves total energy."""
-    whole = consumption_energy(motion_segment(d1 + d2, dz, CRUISE), CRUISE)
-    a = consumption_energy(motion_segment(d1, dz, CRUISE), CRUISE)
-    b = consumption_energy(motion_segment(d2, 0.0, CRUISE), CRUISE)
+    whole, _ = CRUISE.move(d1 + d2, dz)
+    a, _ = CRUISE.move(d1, dz)
+    b, _ = CRUISE.move(d2, 0.0)
     assert whole == pytest.approx(a + b, rel=1e-12, abs=1e-9)
 
 
 @given(st.floats(0.1, 400.0), st.floats(0.1, 10.0))
 @settings(max_examples=200)
 def test_consumption_homogeneous_in_distance(d, k):
-    one = consumption_energy(motion_segment(d, 0.0, CRUISE), CRUISE)
-    scaled = consumption_energy(motion_segment(k * d, 0.0, CRUISE), CRUISE)
+    one, _ = CRUISE.move(d, 0.0)
+    scaled, _ = CRUISE.move(k * d, 0.0)
     assert scaled == pytest.approx(k * one, rel=1e-12)
+
+
+@st.composite
+def consumption_params(draw):
+    powers = sorted(draw(st.floats(0.1, 500.0)) for _ in range(3))
+    speeds = [draw(st.floats(0.1, 50.0)) for _ in range(3)]
+    return ConsumptionParams(p_level=powers[1], p_up=powers[2], p_down=powers[0],
+                             v=speeds[0], v_up=speeds[1], v_down=speeds[2])
+
+
+@given(consumption_params(),
+       st.one_of(st.sampled_from([0.0, -0.0]), st.floats(0.0, 1e4)),
+       st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e3, 1e3)))
+@settings(max_examples=400)
+@example(CRUISE, 0.0, -0.0)
+@example(CRUISE, -0.0, 0.0)
+@example(CRUISE, 3.0, -30.0)
+def test_move_equals_reference(params, distance, dz):
+    """`move` prices a move exactly as the two-pass classify-then-price
+    reference does, signed zeros included."""
+    got = params.move(distance, dz)
+    want = reference_move(distance, dz, params)
+    assert [math.copysign(1.0, x) for x in got] == [math.copysign(1.0, x) for x in want]
+    assert got == want
 
 
 def test_consumption_params_ordering_enforced():
@@ -82,6 +106,16 @@ def test_incidence_level_panel_sun_overhead():
 
 def test_incidence_level_panel_thirty_degrees():
     assert incidence_cosine(0.0, 0.0, 0.0, math.pi / 6) == pytest.approx(0.5)
+
+
+@given(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0), st.floats(0.0, math.pi / 2))
+@settings(max_examples=400)
+def test_level_panel_incidence_ignores_heading_and_azimuth(heading, azimuth, elevation):
+    """With zero bank the panel faces straight up, so the incidence cosine is
+    sin(elevation) exactly whatever the heading and azimuth; `EnergyModel.gain`
+    relies on this."""
+    assert (incidence_cosine(0.0, heading, azimuth, elevation)
+            == incidence_cosine(0.0, 0.0, 0.0, elevation))
 
 
 def test_incidence_banked_horizon_sun():
@@ -163,6 +197,12 @@ def test_harvest_model_dispatch_gates_on_shadow():
     model = EnergyModel(CRUISE, PANEL, HarvestModel.CLOUD)
     assert model.harvest_power(1.0, True, 1200.0) == 0.0
     assert model.harvest_power(1.0, False, 1200.0) == pytest.approx(22.8)
+
+
+def test_gain_is_level_panel_power_times_duration():
+    model = EnergyModel(CRUISE, PANEL, HarvestModel.CLEAR)
+    assert model.gain(math.pi / 6, False, 0.0, 2.0) == pytest.approx(22.8 * 0.5 * 2.0)
+    assert model.gain(math.pi / 6, True, 0.0, 2.0) == 0.0
 
 
 # -------------------------------------------------------------------- battery
