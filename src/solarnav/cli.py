@@ -21,9 +21,9 @@ from .privacy import DpBudgetExceeded, Unreachable, default_t_max, plan_privacy_
 from .reporting import plan_summary, report_text, write_plan_csv, write_privacy_csv, \
     write_report, write_trajectory_csv
 from .scenario_io import ParseError, ValidationError, load_scenario, scenario_digest
-from .simulate import PlanningFailed, run_planner, run_scenario, scenario_grid
+from .simulate import CONTROL_MODES, PLANNER_NAMES, PlanningFailed, run_planner, \
+    run_scenario, scenario_grid
 
-PLANNER_NAMES = ("energy", "time", "shortest", "privacy")
 PLAN_ERRORS = (NoPath, NodeInObstacle, Unreachable, EmptyGrid, ValueError)
 
 
@@ -98,7 +98,7 @@ def plan(scenario: str, planner: str, output: Optional[str],
 
 @main.command()
 @click.option("--scenario", "-s", required=True)
-@click.option("--mode", "-m", type=click.Choice(["hybrid", "reactive-only", "track-only"]),
+@click.option("--mode", "-m", type=click.Choice(CONTROL_MODES),
               default="hybrid", show_default=True)
 @click.option("--replan/--no-replan", default=False, show_default=True,
               help="Re-run the global planner after each avoidance episode.")

@@ -89,16 +89,6 @@ def _map_endpoint(grid: NavGrid, p: Vec3, label: str) -> int:
     return flat
 
 
-def _assemble(grid: NavGrid, flats: List[int], search_cost: float,
-              battery: Optional[BatteryState] = None) -> Path:
-    waypoints = [grid.node_point(f) for f in flats]
-    edges = [grid.edge_cost(a, b) for a, b in zip(flats, flats[1:])]
-    path = Path(waypoints, edges, search_cost)
-    if battery is not None:
-        attach_battery_profile(path, battery)
-    return path
-
-
 def _reconstruct(parent: Dict[int, int], node: int) -> List[int]:
     out = [node]
     while node in parent:
@@ -257,15 +247,28 @@ def _max_edge_speed(grid: NavGrid) -> float:
     return best
 
 
-def plan_shortest(grid: NavGrid, start: Vec3, goal: Vec3) -> Path:
-    """Minimum Euclidean-length grid path; ignores energy entirely."""
+def _plan(grid: NavGrid, battery: Optional[BatteryState], start: Vec3, goal: Vec3,
+          edge_cost: Callable[[NavGrid], Callable[[int, int, int], float]],
+          rate: float) -> Path:
+    """Search driver of the grid planners: map both endpoints, search with
+    `edge_cost(grid)` and the heuristic `rate` x straight-line distance (over
+    battery labels when a battery is given) and annotate the path's edges."""
     s = _map_endpoint(grid, start, "start")
     g = _map_endpoint(grid, goal, "goal")
     if s == g:
-        return Path([grid.node_point(s)], [], 0.0)
-    h = _euclid_heuristic(grid, g, 1.0)
-    flats, cost = _astar_plain(grid, s, g, length_edge_cost(grid), h)
-    return _assemble(grid, flats, cost)
+        flats, cost = [s], 0.0
+    else:
+        fns = (edge_cost(grid), _euclid_heuristic(grid, g, rate))
+        flats, cost = (_astar_plain(grid, s, g, *fns) if battery is None
+                       else _astar_battery(grid, s, g, battery, *fns))
+    path = Path([grid.node_point(f) for f in flats],
+                [grid.edge_cost(a, b) for a, b in zip(flats, flats[1:])], cost)
+    return path if battery is None else attach_battery_profile(path, battery)
+
+
+def plan_shortest(grid: NavGrid, start: Vec3, goal: Vec3) -> Path:
+    """Minimum Euclidean-length grid path; ignores energy entirely."""
+    return _plan(grid, None, start, goal, length_edge_cost, 1.0)
 
 
 def plan_energy_efficient(grid: NavGrid, battery: Optional[BatteryState],
@@ -273,31 +276,10 @@ def plan_energy_efficient(grid: NavGrid, battery: Optional[BatteryState],
     """Minimize net energy expenditure subject to the battery floor.
 
     Pass battery=None for the unconstrained search (oracle comparisons)."""
-    s = _map_endpoint(grid, start, "start")
-    g = _map_endpoint(grid, goal, "goal")
-    if s == g:
-        path = Path([grid.node_point(s)], [], 0.0)
-        return attach_battery_profile(path, battery) if battery else path
-    h = _euclid_heuristic(grid, g, _energy_rate(grid))
-    if battery is None:
-        flats, cost = _astar_plain(grid, s, g, energy_edge_cost(grid), h)
-        return _assemble(grid, flats, cost)
-    flats, cost = _astar_battery(grid, s, g, battery, energy_edge_cost(grid), h)
-    return _assemble(grid, flats, cost, battery)
+    return _plan(grid, battery, start, goal, energy_edge_cost, _energy_rate(grid))
 
 
 def plan_time_efficient(grid: NavGrid, battery: Optional[BatteryState],
                         start: Vec3, goal: Vec3) -> Path:
     """Minimize total duration subject to the same battery floor/clamp."""
-    s = _map_endpoint(grid, start, "start")
-    g = _map_endpoint(grid, goal, "goal")
-    if s == g:
-        path = Path([grid.node_point(s)], [], 0.0)
-        return attach_battery_profile(path, battery) if battery else path
-    h = _euclid_heuristic(grid, g, 1.0 / _max_edge_speed(grid))
-    if battery is None:
-        flats, cost = _astar_plain(grid, s, g, time_edge_cost(grid), h)
-        return _assemble(grid, flats, cost)
-    flats, cost = _astar_battery(grid, s, g, battery, time_edge_cost(grid), h)
-    return _assemble(grid, flats, cost, battery)
-
+    return _plan(grid, battery, start, goal, time_edge_cost, 1.0 / _max_edge_speed(grid))

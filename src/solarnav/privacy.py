@@ -14,6 +14,7 @@ from .world import Environment, PrivacyRegion, Vec3, clear_of_prisms, segment_bl
 
 
 MAX_DP_STATES = 1_000_000  # nodes within m_layers steps of pf x (m_layers + 1)
+STAGE_SAMPLES = 16  # risk samples per DP stage
 
 
 class Unreachable(Exception):
@@ -127,16 +128,16 @@ def _clear_moves(env: Environment, pred: np.ndarray, pa: np.ndarray,
 
 
 def _stage_costs(pa: np.ndarray, pb: np.ndarray, regions: Sequence[PrivacyRegion],
-                 n: int, delta: float) -> np.ndarray:
+                 delta: float) -> np.ndarray:
     """Risk of each stage pa -> pb of duration delta: the trapezoid rule over
-    n + 1 evenly spaced samples, summed sample by sample."""
+    STAGE_SAMPLES + 1 evenly spaced samples, summed sample by sample."""
     total = 0.0
     prev = privacy_intensities(pa, regions)
-    for s in range(1, n + 1):
-        cur = privacy_intensities(pa + (s / n) * (pb - pa), regions)
+    for s in range(1, STAGE_SAMPLES + 1):
+        cur = privacy_intensities(pa + (s / STAGE_SAMPLES) * (pb - pa), regions)
         total = total + 0.5 * (prev + cur)
         prev = cur
-    return total * delta / n
+    return total * delta / STAGE_SAMPLES
 
 
 def default_t_max(p0: Vec3, pf: Vec3, v_max: float) -> float:
@@ -204,7 +205,7 @@ def _nodes_ok(env: Environment, points: np.ndarray) -> np.ndarray:
 
 def plan_privacy_dp(env: Environment, p0: Vec3, pf: Vec3, m_layers: int,
                     t_max: float, v_max: float, pitch: Optional[float] = None,
-                    planar: bool = False, samples_per_stage: int = 16) -> PrivacyPlan:
+                    planar: bool = False) -> PrivacyPlan:
     """Backward time-layered DP from the target over a cubic lattice.
 
     The lattice is anchored at pf; p0 snaps to its nearest node. Each stage
@@ -255,7 +256,7 @@ def plan_privacy_dp(env: Environment, p0: Vec3, pf: Vec3, m_layers: int,
         if k != 0:
             pred, pa, pb = _clear_moves(env, pred, pa, pb)
         succ[pred, j] = pred + box_delta[k]
-        cost[pred, j] = _stage_costs(pa, pb, regions, samples_per_stage, delta)
+        cost[pred, j] = _stage_costs(pa, pb, regions, delta)
 
     values: List[Dict[int, float]] = [dict() for _ in range(m_layers + 1)]
     moves: List[Dict[int, int]] = [dict() for _ in range(m_layers + 1)]

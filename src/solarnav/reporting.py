@@ -23,19 +23,21 @@ def _num(x: float) -> str:
     return format(float(x), ".9g")
 
 
-def trajectory_csv_rows(log: SimLog) -> List[str]:
-    rows = [CSV_HEADER]
-    for r in log.records:
-        rows.append(",".join([
-            _num(r.t), _num(r.x), _num(r.y), _num(r.z), _num(r.theta),
-            _num(r.v), _num(r.u), _num(r.battery), "1" if r.shadow else "0",
-            r.mode.value, _num(r.min_dist)]))
-    return rows
+def _row(t: float, x: float, y: float, z: float, theta: float, v: float, u: float,
+         battery: float, shadow: bool, mode: str, min_dist: float) -> str:
+    """One CSV line, in the column order of CSV_HEADER."""
+    return ",".join([*map(_num, (t, x, y, z, theta, v, u, battery)),
+                     "1" if shadow else "0", mode, _num(min_dist)])
 
 
 def _write_rows(rows: List[str], path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(rows) + "\n")
+        fh.write("\n".join([CSV_HEADER, *rows]) + "\n")
+
+
+def trajectory_csv_rows(log: SimLog) -> List[str]:
+    return [_row(r.t, r.x, r.y, r.z, r.theta, r.v, r.u, r.battery, r.shadow,
+                 r.mode.value, r.min_dist) for r in log.records]
 
 
 def write_trajectory_csv(log: SimLog, path: str) -> None:
@@ -44,12 +46,13 @@ def write_trajectory_csv(log: SimLog, path: str) -> None:
 
 def plan_csv_rows(plan: Path, sc: Scenario) -> List[str]:
     """Waypoint rows for a planned path with static timestamps from durations."""
-    rows = [CSV_HEADER]
+    rows = []
     t = 0.0
     battery = plan.battery_profile
     for i, wp in enumerate(plan.waypoints):
         if i > 0:
             t += plan.edges[i - 1].duration
+        theta, speed = 0.0, 0.0
         if i < len(plan.waypoints) - 1:
             nxt = plan.waypoints[i + 1]
             theta = math.atan2(nxt.y - wp.y, nxt.x - wp.x)
@@ -57,17 +60,10 @@ def plan_csv_rows(plan: Path, sc: Scenario) -> List[str]:
         elif plan.edges:
             prev = plan.waypoints[i - 1]
             theta = math.atan2(wp.y - prev.y, wp.x - prev.x)
-            speed = 0.0
-        else:
-            theta = 0.0
-            speed = 0.0
         level = battery[i] if battery else sc.battery.energy
         shadow = shadowed_at(sc.env, wp, t, sc.unknown_obstacles)
         sep = min_separation(sc.env, sc.unknown_obstacles, wp)
-        rows.append(",".join([
-            _num(t), _num(wp.x), _num(wp.y), _num(wp.z), _num(theta),
-            _num(speed), "0", _num(level), "1" if shadow else "0",
-            "plan", _num(sep)]))
+        rows.append(_row(t, wp.x, wp.y, wp.z, theta, speed, 0.0, level, shadow, "plan", sep))
     return rows
 
 
@@ -75,17 +71,12 @@ def write_plan_csv(plan: Path, sc: Scenario, path: str) -> None:
     _write_rows(plan_csv_rows(plan, sc), path)
 
 
-def privacy_csv_rows(plan: PrivacyPlan) -> List[str]:
+def write_privacy_csv(plan: PrivacyPlan, path: str) -> None:
     """Waypoint rows of a privacy DP trajectory. The DP tracks no heading,
     speed, battery, shadow or clearance: those columns read 0, and inf for
     min_dist."""
-    return [CSV_HEADER] + [",".join([_num(t), _num(p.x), _num(p.y), _num(p.z),
-                                     "0", "0", "0", "0", "0", "plan", "inf"])
-                           for t, p in plan.trajectory]
-
-
-def write_privacy_csv(plan: PrivacyPlan, path: str) -> None:
-    _write_rows(privacy_csv_rows(plan), path)
+    _write_rows([_row(t, p.x, p.y, p.z, 0.0, 0.0, 0.0, 0.0, False, "plan", math.inf)
+                 for t, p in plan.trajectory], path)
 
 
 def plan_summary(plan: Path, sc: Scenario) -> Dict[str, float]:
@@ -111,7 +102,7 @@ def plan_summary(plan: Path, sc: Scenario) -> Dict[str, float]:
 
 def write_report(data: Dict, path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        yaml.safe_dump(data, fh, sort_keys=True, default_flow_style=False)
+        fh.write(report_text(data))
 
 
 def report_text(data: Dict) -> str:

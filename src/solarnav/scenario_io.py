@@ -6,7 +6,7 @@ import hashlib
 import json
 import math
 from dataclasses import asdict
-from typing import Any, Dict, Optional
+from typing import Any, Callable, Dict, Optional
 
 import yaml
 
@@ -34,15 +34,6 @@ class ValidationError(Exception):
         super().__init__(f"{field}: {reason}")
         self.field = field
         self.reason = reason
-
-
-def _vec(raw: Any, where: str) -> Vec3:
-    if not isinstance(raw, (list, tuple)) or len(raw) != 3:
-        raise ValidationError(where, f"expected [x, y, z], got {raw!r}")
-    try:
-        return Vec3(float(raw[0]), float(raw[1]), float(raw[2]))
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(where, str(exc)) from exc
 
 
 def _mapping(raw: Any, where: str) -> Dict[str, Any]:
@@ -74,6 +65,17 @@ def _integer(raw: Any, where: str) -> int:
     if not (value.is_integer() and value >= 1):
         raise ValidationError(where, f"must be an integer >= 1, got {raw!r}")
     return int(value)
+
+
+def _reals(raw: Any, where: str, convert: Callable[[Any, str], Any] = _real) -> tuple:
+    """`raw` as three items, item j converted by `convert` under `where[j]`."""
+    if not isinstance(raw, (list, tuple)) or len(raw) != 3:
+        raise ValidationError(where, f"expected a list of 3 numbers, got {raw!r}")
+    return tuple(convert(v, f"{where}[{j}]") for j, v in enumerate(raw))
+
+
+def _vec(raw: Any, where: str) -> Vec3:
+    return Vec3(*_reals(raw, where))
 
 
 def _finite(section: Dict[str, Any], where: str, default: Any,
@@ -122,13 +124,12 @@ def scenario_from_dict(data: Dict[str, Any]) -> Scenario:
     for i, p in enumerate(_list(world.get("prisms", []), "world.prisms")):
         where = f"world.prisms[{i}]"
         p = _mapping(p, where)
-        axes = _list(p.get("semi_axes", ()), where + ".semi_axes")
-        exps = _list(p.get("exponents", (1, 1, 1)), where + ".exponents")
+        exps = p.get("exponents", (1, 1, 1))
         prism = _build(
             Prism, {}, where,
             center=_vec(p.get("center"), where + ".center"),
-            semi_axes=tuple(_real(v, f"{where}.semi_axes[{j}]") for j, v in enumerate(axes)),
-            exponents=tuple(_integer(v, f"{where}.exponents[{j}]") for j, v in enumerate(exps)))
+            semi_axes=_reals(p.get("semi_axes", ()), where + ".semi_axes"),
+            exponents=_reals(exps, where + ".exponents", _integer))
         # Gamma's term on the bounds face farthest from the center is each
         # axis's largest inside the world: if it is finite, every level value is.
         for j, (c, lo, hi, a, e) in enumerate(zip(

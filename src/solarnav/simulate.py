@@ -19,6 +19,7 @@ from .world import Environment, Vec3, in_shadow, is_collision, prism_clearance
 
 CONTROL_MODES = ("hybrid", "reactive-only", "track-only")
 SIM_PLANNERS = ("energy", "time", "shortest")
+PLANNER_NAMES = SIM_PLANNERS + ("privacy",)
 MAX_SIM_STEPS = 100_000  # max_duration / dt; 5,000 s at the default 0.05 s step
 
 
@@ -83,7 +84,7 @@ class Scenario:
         self.unknown_obstacles = tuple(self.unknown_obstacles)
         if self.dt <= 0:
             raise ValueError("dt must be positive")
-        if self.planner not in SIM_PLANNERS + ("privacy",):
+        if self.planner not in PLANNER_NAMES:
             raise ValueError(f"unknown planner {self.planner!r}")
         for p in (self.start, self.goal):
             if is_collision(p, self.env):

@@ -32,6 +32,7 @@ from solarnav import (BatteryState, Box, ControlLimits, Environment, HarvestPara
                       plan_time_efficient, pursuit_command, pursuit_lookahead,
                       run_scenario, step_kinematics_planar)
 from solarnav.cli import main as cli_main
+from solarnav.privacy import STAGE_SAMPLES
 from solarnav.reporting import plan_summary
 from solarnav.scenario_io import load_scenario
 
@@ -209,7 +210,7 @@ def test_criterion_5_privacy_dp():
                            20.0, pitch=20.0)
     lat = plan.lattice
     assert lat.dims == (9, 9, 3)
-    prob = ReferenceDpProblem(env, lat, 20.0, 16)
+    prob = ReferenceDpProblem(env, lat, 20.0, STAGE_SAMPLES)
     oracle = dp_value_by_recursion(prob, lat, lat.flat_of(8, 8, 2))
     p0 = lat.flat_of(0, 0, 0)
     best = min(oracle[(i, p0)] for i in range(m) if (i, p0) in oracle)
@@ -239,7 +240,7 @@ def test_criterion_5_privacy_dp():
 def _lattice_shortest_risk(env, plan, p0: Vec3, pf: Vec3) -> float:
     """Minimum-distance route on the same DP lattice, risk-scored the same way."""
     lat = plan.lattice
-    prob = ReferenceDpProblem(env, lat, 10.0, 16)
+    prob = ReferenceDpProblem(env, lat, 10.0, STAGE_SAMPLES)
     s, g = lat.index_of_point(p0), lat.index_of_point(pf)
     dist = {s: 0.0}
     parent = {}

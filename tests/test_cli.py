@@ -123,7 +123,8 @@ def test_plan_unknown_planner_usage_error(tmp_path):
     ("world.prisms", [{"center": [100, 40, 60], "semi_axes": [20, 20, 60],
                        "exponents": [4, 1e308, 4]}]),
     ("world.prisms", [{"center": [100, 40, 60], "semi_axes": [20, 20, 60],
-                       "exponents": [4, 200, 4]}])],
+                       "exponents": [4, 200, 4]}]),
+    ("world.bounds.max", [200, 10 ** 400, 120]), ("world.sun.position", [10 ** 400, 0, 9000])],
     ids=lambda v: v.removeprefix("mission.") if isinstance(v, str) else None)
 def test_plan_rejects_bad_grid_parameters(tmp_path, field, value):
     """A malformed or over-budget field exits 2 and names its path."""
@@ -143,7 +144,9 @@ def test_plan_rejects_bad_grid_parameters(tmp_path, field, value):
     ("world.privacy_regions[0].c2", float("inf")), ("world.privacy_regions[0].c1", "abc"),
     ("world.privacy_regions[0].c1", float("nan")), ("world.prisms[0].semi_axes", 5),
     ("world.prisms[0].semi_axes", [float("nan"), 28, 90]),
-    ("world.prisms[0].exponents", [2.5, 2, 2]), ("unknown_obstacles[0].radius", "abc")])
+    ("world.prisms[0].exponents", [2.5, 2, 2]), ("unknown_obstacles[0].radius", "abc"),
+    ("world.prisms[0].semi_axes", [20]), ("world.prisms[0].semi_axes", [20, 20, 60, 5]),
+    ("world.prisms[0].exponents", [4, 4]), ("world.prisms[0].center", [100, 10 ** 400, 60])])
 def test_plan_rejects_bad_list_entries(tmp_path, field, value):
     """A malformed field of a prism, privacy region or obstacle exits 2 and
     names its path, index included."""
@@ -218,12 +221,15 @@ def _numbers(node):
 PRESET_DOCS = {"section4": lambda: _with_optional_fields(section4_preset()),
                "section5": lambda: _with_optional_fields(section5_preset())}
 PRESET_LEAVES = [(name, path) for name, doc in PRESET_DOCS.items() for path in _leaves(doc())]
+# Every list of numbers (vectors, semi_axes, exponents) as one node.
+PRESET_LISTS = list(dict.fromkeys((name, path[:-1]) for name, path in PRESET_LEAVES
+                                  if isinstance(path[-1], int)))
 
 
 @settings(max_examples=400, deadline=None)
-@given(leaf=st.sampled_from(PRESET_LEAVES),
+@given(leaf=st.sampled_from(PRESET_LEAVES + PRESET_LISTS),
        value=st.sampled_from([float("nan"), float("inf"), -float("inf"), "abc", None, [], {},
-                              -1, 0, 1e308]))
+                              -1, 0, 1e308, 10 ** 400, [1], [1, 2], [1, 2, 3, 4]]))
 @example(leaf=("section5", ("avoidance", "threshold_deg")), value=float("nan"))
 @example(leaf=("section5", ("limits", "u_max")), value=float("inf"))
 @example(leaf=("section4", ("energy", "harvest", "g")), value=float("inf"))
@@ -232,9 +238,12 @@ PRESET_LEAVES = [(name, path) for name, doc in PRESET_DOCS.items() for path in _
 @example(leaf=("section4", ("world", "prisms", 0, "exponents", 1)), value=1e308)
 @example(leaf=("section4", ("privacy", "m_layers")), value=1e308)
 @example(leaf=("section5", ("sim", "arrival_radius")), value=-1)
+@example(leaf=("section4", ("world", "bounds", "max", 1)), value=10 ** 400)
+@example(leaf=("section5", ("world", "prisms", 0, "semi_axes")), value=[1])
 def test_loader_rejects_or_keeps_every_number_finite(leaf, value):
-    """One leaf of a preset set to a bad value: the loader raises ParseError or
-    ValidationError, or returns a scenario whose numbers are all finite."""
+    """One leaf or list of numbers of a preset set to a bad value: the loader
+    raises ParseError or ValidationError, or returns a scenario whose numbers
+    are all finite."""
     name, path = leaf
     doc = PRESET_DOCS[name]()
     node = doc

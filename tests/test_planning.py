@@ -43,13 +43,25 @@ def distances_to_goal(grid, goal_flat, cost_fn):
     return dist
 
 
-def test_zero_length_plan_when_start_equals_goal():
+@pytest.mark.parametrize("planner, battery", [
+    ("shortest", None), ("energy", None), ("energy", BatteryState(600, 670, 50)),
+    ("time", None), ("time", BatteryState(600, 670, 50))],
+    ids=("shortest", "energy-plain", "energy-battery", "time-plain", "time-battery"))
+def test_zero_length_plan_when_start_equals_goal(planner, battery):
+    """A start on the goal's node gives one waypoint, no edges and cost 0 from
+    every planner, with the one-entry battery profile when a battery is given."""
     grid = build_grid(empty_env(100.0), 20.0)
     p = Vec3(40.0, 40.0, 40.0)
-    path = plan_energy_efficient(grid, BatteryState(670, 670, 50), p, p)
+    if planner == "shortest":
+        path = plan_shortest(grid, p, p)
+    else:
+        plan = plan_energy_efficient if planner == "energy" else plan_time_efficient
+        path = plan(grid, battery, p, p)
     assert path.waypoints == [p]
+    assert path.edges == []
     assert path.search_cost == 0.0
     assert path.net_cost == 0.0
+    assert path.battery_profile == (None if battery is None else [battery.energy])
 
 
 def test_start_in_obstacle_rejected():

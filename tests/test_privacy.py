@@ -13,6 +13,7 @@ import solarnav.privacy as privacy_mod
 from solarnav import (Box, DpLattice, Environment, Prism, PrivacyRegion, SunModel, Unreachable,
                       Vec3, is_collision, plan_privacy_dp, privacy_intensity,
                       total_privacy_risk)
+from solarnav.privacy import STAGE_SAMPLES
 from solarnav.world import clear_of_prisms
 from oracles import (ReferenceDpProblem, dp_optimum_by_path_enumeration,
                      dp_value_by_recursion, reference_dp_tables, riemann_risk)
@@ -136,7 +137,7 @@ def test_dp_matches_recursive_oracle_9x9x3():
                            m * 2.0, 20.0, pitch=20.0)
     lat = plan.lattice
     assert lat.dims == (9, 9, 3)
-    prob = ReferenceDpProblem(env, lat, 20.0, 16)
+    prob = ReferenceDpProblem(env, lat, 20.0, STAGE_SAMPLES)
     pf_flat = lat.flat_of(8, 8, 2)
     oracle = dp_value_by_recursion(prob, lat, pf_flat)
     stored = {(i, n): v for i in range(m + 1) for n, v in lat.values[i].items()}
@@ -158,7 +159,7 @@ def test_dp_matches_literal_enumeration_small():
     plan = plan_privacy_dp(env, Vec3(0, 40, 20), Vec3(80, 40, 20), m, m * 2.0,
                            15.0, pitch=20.0, planar=True)
     lat = plan.lattice
-    prob = ReferenceDpProblem(env, lat, 15.0, 16)
+    prob = ReferenceDpProblem(env, lat, 15.0, STAGE_SAMPLES)
     p0 = lat.flat_of(0, 2, 0)
     pf = lat.flat_of(4, 2, 0)
     brute = dp_optimum_by_path_enumeration(prob, lat, p0, pf)
@@ -174,7 +175,7 @@ def test_dp_table_self_consistency_audit():
     plan = plan_privacy_dp(env, Vec3(0, 60, 20), Vec3(120, 60, 20), m, m * 2.0,
                            15.0, pitch=20.0, planar=True)
     lat = plan.lattice
-    prob = ReferenceDpProblem(env, lat, 15.0, 16)
+    prob = ReferenceDpProblem(env, lat, 15.0, STAGE_SAMPLES)
     nx, ny, nz = lat.dims
     for i in range(m):
         for node, value in lat.values[i].items():
@@ -288,7 +289,7 @@ def test_dp_tables_match_scalar_reference(dims, m, v_max, stage, pitch, regions,
               for ix, iy, iz in (p0_idx, pf_idx))
     lat = DpLattice(origin=np.array([0.0, 0.0, z_base]), spacing=pitch, dims=dims,
                     delta=t_max / m, m_layers=m, offsets=privacy_mod._lattice_offsets(planar))
-    prob = ReferenceDpProblem(env, lat, v_max, 16)
+    prob = ReferenceDpProblem(env, lat, v_max, STAGE_SAMPLES)
     p0_flat, pf_flat = lat.flat_of(*p0_idx), lat.flat_of(*pf_idx)
     values, moves = reference_dp_tables(prob, lat, pf_flat)
     risk, nodes = _reference_plan(values, moves, lat, p0_flat)
@@ -319,7 +320,7 @@ def test_dp_tie_goes_to_smallest_successor_index():
     plan = plan_privacy_dp(env, Vec3(0, 20, 20), Vec3(40, 20, 20), 2, 4.0, 20.0,
                            pitch=20.0, planar=True)
     lat = plan.lattice
-    prob = ReferenceDpProblem(env, lat, 20.0, 16)
+    prob = ReferenceDpProblem(env, lat, 20.0, STAGE_SAMPLES)
     down, up = lat.flat_of(1, 0, 0), lat.flat_of(1, 2, 0)
     start, goal = lat.flat_of(0, 1, 0), lat.flat_of(2, 1, 0)
     assert lat.values[1][down] == lat.values[1][up] > 0.0
@@ -410,7 +411,7 @@ def test_dp_tests_each_move_segment_once(monkeypatch):
         except Unreachable:  # the start is 6 steps from the target
             assert m < 6
         counts[m] = (len(nodes), len(segments))
-    prob = ReferenceDpProblem(env, lat, 15.0, 16)  # every stage lasts 2 s
+    prob = ReferenceDpProblem(env, lat, 15.0, STAGE_SAMPLES)  # every stage lasts 2 s
     expected = {m: _moves_into_reach(prob, lat, lat.flat_of(6, 3, 0), m) for m in counts}
     assert counts == {m: (n + 2, k) for m, (n, k) in expected.items()}
     assert counts[14] == counts[7] == (7 * 7 + 2, counts[7][1])
