@@ -7,10 +7,10 @@ import math
 import warnings
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import List, Sequence, Tuple, TYPE_CHECKING
 
 from .energy import BatteryState
-from .world import Vec3
+from .world import ValidationError, Vec3
 
 if TYPE_CHECKING:  # pragma: no cover
     from .simulate import MovingObstacle
@@ -62,8 +62,9 @@ class ControlLimits:
     def __post_init__(self):
         if not 0 <= self.v_min < self.cruise < self.v_max:
             raise ValueError("require 0 <= v_min < cruise < v_max")
-        if self.u_max <= 0 or self.climb_rate <= 0:
-            raise ValueError("u_max and climb_rate must be positive")
+        for name in ("u_max", "climb_rate"):
+            if getattr(self, name) <= 0:
+                raise ValidationError(name, "must be positive")
 
 
 @dataclass(frozen=True)
@@ -79,9 +80,12 @@ class AvoidanceParams:
 
     def __post_init__(self):
         if not 0 < self.alpha_safe < math.pi / 2:
-            raise ValueError("alpha_safe must lie in (0, pi/2)")
-        if not 0 < self.trigger_distance <= self.r_sensor:
-            raise ValueError("require 0 < trigger distance <= sensor range")
+            raise ValidationError("alpha_safe", "must lie in (0, pi/2)")
+        for name in ("r_sensor", "trigger_distance"):
+            if getattr(self, name) <= 0:
+                raise ValidationError(name, "must be positive")
+        if not self.trigger_distance <= self.r_sensor:
+            raise ValueError("require trigger_distance <= r_sensor")
 
 
 @dataclass(frozen=True)
@@ -149,22 +153,16 @@ def _rk4(x: float, y: float, z: float, theta: float, v: float, w: float,
 
 
 def step_kinematics_3d(state: UavState, v: float, w: float, omega: float,
-                       dt: float, limits: ControlLimits,
-                       altitude_band: Optional[Tuple[float, float]] = None) -> UavState:
+                       dt: float, limits: ControlLimits) -> UavState:
     """Fourth-order Runge-Kutta advance of the 3D unicycle over dt.
 
-    Inputs outside the limits (or an altitude band breach) are clamped and a
-    LimitClamped warning is emitted."""
+    Inputs outside the limits are clamped and a LimitClamped warning is
+    emitted."""
     cv, co, cw, clamped = _clamp_inputs(v, omega, limits, w)
     p = state.position
     x, y, z, theta = _rk4(p.x, p.y, p.z, state.heading, cv, cw, co, dt)
-    if altitude_band is not None:
-        lo, hi = altitude_band
-        bounded = min(max(z, lo), hi)
-        clamped = clamped or bounded != z
-        z = bounded
     if clamped:
-        warnings.warn("inputs or altitude clamped", LimitClamped, stacklevel=2)
+        warnings.warn("inputs clamped", LimitClamped, stacklevel=2)
     return replace(state, position=Vec3(x, y, z), heading=theta, speed=cv)
 
 

@@ -7,6 +7,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Tuple
 
+from .world import ValidationError
+
 
 class BatteryDepleted(Exception):
     """Battery would fall below the hard floor E_min."""
@@ -31,7 +33,7 @@ class ConsumptionParams:
     def __post_init__(self):
         for name in ("p_level", "p_up", "p_down", "v", "v_up", "v_down"):
             if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+                raise ValidationError(name, "must be positive")
         if not self.p_down <= self.p_level <= self.p_up:
             raise ValueError("require p_down <= p_level <= p_up")
 
@@ -72,15 +74,14 @@ class HarvestParams:
 
     def __post_init__(self):
         if not 0 < self.eta <= 1:
-            raise ValueError("eta must lie in (0, 1]")
-        if self.g <= 0 or self.s <= 0:
-            raise ValueError("g and s must be positive")
+            raise ValidationError("eta", "must lie in (0, 1]")
+        for name in ("g", "s", "delta_c"):
+            if getattr(self, name) <= 0:
+                raise ValidationError(name, "must be positive")
+        if self.beta_c < 0:
+            raise ValidationError("beta_c", "must be nonnegative")
         if not self.h_down < self.h_up:
             raise ValueError("require h_down < h_up")
-        if self.beta_c < 0:
-            raise ValueError("beta_c must be nonnegative")
-        if self.delta_c <= 0:
-            raise ValueError("delta_c must be positive")
 
     @property
     def peak_power(self) -> float:

@@ -174,10 +174,13 @@ def dp_lattice_dims(env: Environment, anchor: Vec3, m_layers: int, t_max: float,
         raise ValueError(f"lattice pitch must be finite and positive, got {pitch}")
     lo, hi = env.bounds.lo.as_array(), env.bounds.hi.as_array()
     a = anchor.as_array()
+    if planar:
+        lo[2] = hi[2] = a[2]  # one z layer, index 0
+    # Checked before dividing, which would overflow for a subnormal pitch.
+    if not np.abs([lo - a, hi - a]).max() < pitch * 2.0 ** 63:
+        raise DpBudgetExceeded(f"pitch {pitch:.6g} gives an axis no int64 flat index spans")
     k_lo = np.ceil((lo - a) / pitch - 1e-9)
     k_hi = np.floor((hi - a) / pitch + 1e-9)
-    if planar:
-        k_lo[2] = k_hi[2] = 0
     counts = np.maximum(k_hi - k_lo + 1, 0)
     nodes = math.prod(counts.tolist())
     if not nodes < 2.0 ** 63:

@@ -5,7 +5,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict
+from dataclasses import asdict, fields
+from functools import partial
 from typing import Any, Callable, Dict, Optional
 
 import yaml
@@ -16,7 +17,7 @@ from .energy import BatteryState, ConsumptionParams, EnergyModel, HarvestModel, 
 from .grid import lattice_dims
 from .privacy import default_t_max, dp_lattice_dims
 from .simulate import MAX_SIM_STEPS, MovingObstacle, Scenario
-from .world import Box, Environment, Prism, PrivacyRegion, SunModel, Vec3
+from .world import Box, Environment, Prism, PrivacyRegion, SunModel, ValidationError, Vec3
 
 
 class ParseError(Exception):
@@ -25,27 +26,6 @@ class ParseError(Exception):
     def __init__(self, line: Optional[int], message: str):
         super().__init__(f"line {line}: {message}" if line else message)
         self.line = line
-
-
-class ValidationError(Exception):
-    """A parsed field violates a scenario invariant."""
-
-    def __init__(self, field: str, reason: str):
-        super().__init__(f"{field}: {reason}")
-        self.field = field
-        self.reason = reason
-
-
-def _mapping(raw: Any, where: str) -> Dict[str, Any]:
-    if not isinstance(raw, dict):
-        raise ValidationError(where, f"expected a mapping, got {raw!r}")
-    return raw
-
-
-def _list(raw: Any, where: str) -> list:
-    if not isinstance(raw, (list, tuple)):
-        raise ValidationError(where, f"expected a list, got {raw!r}")
-    return list(raw)
 
 
 def _real(raw: Any, where: str) -> float:
@@ -57,6 +37,18 @@ def _real(raw: Any, where: str) -> float:
     if not math.isfinite(value):
         raise ValidationError(where, f"must be finite, got {raw!r}")
     return value
+
+
+def _nonnegative(raw: Any, where: str, positive: bool = False) -> float:
+    """`raw` as a finite float that is positive, or else nonnegative."""
+    value = _real(raw, where)
+    if not (value > 0 if positive else value >= 0):
+        rule = "positive" if positive else "nonnegative"
+        raise ValidationError(where, f"must be finite and {rule}, got {raw!r}")
+    return value
+
+
+_positive = partial(_nonnegative, positive=True)
 
 
 def _integer(raw: Any, where: str) -> int:
@@ -78,58 +70,115 @@ def _vec(raw: Any, where: str) -> Vec3:
     return Vec3(*_reals(raw, where))
 
 
-def _finite(section: Dict[str, Any], where: str, default: Any,
-            positive: bool = False) -> float:
-    """The field of `section` named by the last part of `where`, as a finite
-    float that is positive, or else nonnegative."""
-    raw = section.get(where.rpartition(".")[2], default)
-    value = _real(raw, where)
-    if not (value > 0 if positive else value >= 0):
-        rule = "positive" if positive else "nonnegative"
-        raise ValidationError(where, f"must be finite and {rule}, got {raw!r}")
-    return value
+def _text(raw: Any, where: str) -> str:
+    if isinstance(raw, (dict, list, tuple)):  # its keys or items would go unread
+        raise ValidationError(where, f"expected a scalar, got {raw!r}")
+    return str(raw)
 
 
-def _optional(section: Dict[str, Any], where: str, positive: bool = False) -> Optional[float]:
-    """Like `_finite`, but an absent or null field stays None."""
-    if section.get(where.rpartition(".")[2]) is None:
-        return None
-    return _finite(section, where, None, positive)
+def _optional(convert: Callable[[Any, str], Any]) -> Callable[[Any, str], Any]:
+    """`convert` that reads null as None."""
+    return lambda raw, where: None if raw is None else convert(raw, where)
 
 
-def _build(cls, raw: Any, where: str, **converted):
-    """`cls` from the mapping `raw`, each of whose fields must be a finite
-    float, and from the fields already `converted`."""
-    fields = {k: _real(v, f"{where}.{k}") for k, v in _mapping(raw, where).items()}
+def _fields(cls) -> Dict[str, tuple]:
+    """The spec of a dataclass section: every field a finite float."""
+    return {f.name: (_real, f.default) for f in fields(cls)}
+
+
+_DEGREES = ("alpha_safe", "threshold", "align_tolerance")  # also given as `<name>_deg`
+_ORIGIN = [0, 0, 0]
+
+# Each mapping's keys as {key: (reader, default)}. A reader is a converter
+# `(raw, path) -> value`, a nested spec, or a one-item list holding the spec
+# every item of a list shares. A default of None leaves an absent key None;
+# a default of () fails its reader, so the key is required.
+SPEC = {
+    "name": (_text, "scenario"),
+    "world": ({
+        "bounds": ({"min": (_vec, ()), "max": (_vec, ())},
+                   {"min": _ORIGIN, "max": [1000, 1000, 500]}),
+        "altitude": ({"min": (_real, None), "max": (_real, None)}, {}),  # absent: bounds z
+        "prisms": ([{"center": (_vec, ()), "semi_axes": (_reals, ()),
+                     "exponents": (partial(_reals, convert=_integer), [1, 1, 1])}], []),
+        "privacy_regions": ([{"center": (_vec, ()), "c1": (_nonnegative, 0.0),
+                              "c2": (_nonnegative, 0.0)}], []),
+        # Either angle given replaces both derived from the position; an
+        # absent one then takes SunModel's default.
+        "sun": ({"position": (_vec, [0, 0, 10000]), "azimuth": (_real, None),
+                 "elevation": (_real, None), "drift": (_vec, _ORIGIN)}, {}),
+    }, {}),
+    "energy": ({"model": (_text, "clear"),
+                "consumption": (_fields(ConsumptionParams), {}),
+                "harvest": (_fields(HarvestParams), {})}, {}),
+    "battery": ({"capacity": (_nonnegative, 670.0), "initial": (_nonnegative, None),
+                 "floor": (_nonnegative, 50.0)}, {}),
+    "limits": (_fields(ControlLimits), {}),
+    "avoidance": ({**_fields(AvoidanceParams), **{
+        key + "_deg": (_optional(lambda raw, where: math.radians(_real(raw, where))), None)
+        for key in _DEGREES}}, {}),
+    "unknown_obstacles": ([{"center": (_vec, ()), "radius": (_nonnegative, 0.0),
+                            "velocity": (_vec, _ORIGIN)}], []),
+    "mission": ({"start": (_vec, ()), "goal": (_vec, ()), "planner": (_text, "energy"),
+                 "grid_resolution": (_positive, 20.0), "grid_margin": (_nonnegative, 2.0),
+                 "planar_z": (_optional(_real), None), "lookahead": (_positive, 20.0)}, {}),
+    "sim": ({"dt": (_positive, 0.05), "max_duration": (_nonnegative, 200.0),
+             "arrival_radius": (_optional(_nonnegative), None)}, {}),
+    "privacy": ({"m_layers": (_integer, 12), "t_max": (_optional(_positive), None),
+                 "pitch": (_optional(_positive), None)}, {}),
+}
+
+
+def _section(raw: Any, where: str, spec: Dict[str, tuple]) -> Dict[str, Any]:
+    """The mapping `raw` at path `where` read through `spec`: each key's value,
+    or its default when absent, through its reader. A key outside the spec
+    raises ValidationError at its path, naming the closest known key."""
+    if not isinstance(raw, dict):
+        raise ValidationError(where or "scenario", f"expected a mapping, got {raw!r}")
+    prefix = f"{where}." if where else ""
+    for key in raw:
+        if key not in spec:
+            from difflib import get_close_matches  # here, off the import-time path
+            close = get_close_matches(str(key), list(spec), n=1)
+            raise ValidationError(f"{prefix}{key}", "unknown key" + (
+                f"; did you mean {close[0]!r}?" if close else ""))
+    out = {}
+    for key, (reader, default) in spec.items():
+        path, value = prefix + key, raw.get(key, default)
+        if key not in raw and default is None:
+            out[key] = None
+        elif isinstance(reader, dict):
+            out[key] = _section(value, path, reader)
+        elif isinstance(reader, list):
+            if not isinstance(value, (list, tuple)):
+                raise ValidationError(path, f"expected a list, got {value!r}")
+            out[key] = [_section(item, f"{path}[{i}]", reader[0])
+                        for i, item in enumerate(value)]
+        else:
+            out[key] = reader(value, path)
+    return out
+
+
+def _build(cls, where: str, **kwargs):
+    """`cls(**kwargs)`, its errors at `where`, or at the field they name."""
     try:
-        return cls(**{**fields, **converted})
-    except (TypeError, ValueError) as exc:
+        return cls(**kwargs)
+    except ValidationError as exc:
+        raise ValidationError(f"{where}.{exc.field}", exc.reason) from exc
+    except (ValueError, OverflowError) as exc:  # OverflowError: a huge prism exponent
         raise ValidationError(where, str(exc)) from exc
 
 
 def scenario_from_dict(data: Dict[str, Any]) -> Scenario:
     """Construct and validate a Scenario from its plain-dict form."""
-    data = _mapping(data, "scenario")
-    world = _mapping(data.get("world", {}), "world")
-    bounds_raw = _mapping(world.get("bounds", {"min": [0, 0, 0], "max": [1000, 1000, 500]}),
-                          "world.bounds")
-    bounds = _build(Box, {}, "world.bounds",
-                    lo=_vec(bounds_raw.get("min"), "world.bounds.min"),
-                    hi=_vec(bounds_raw.get("max"), "world.bounds.max"))
-    altitude = _mapping(world.get("altitude", {}), "world.altitude")
-    z_min = _real(altitude.get("min", bounds.lo.z), "world.altitude.min")
-    z_max = _real(altitude.get("max", bounds.hi.z), "world.altitude.max")
-
+    doc = _section(data, "", SPEC)
+    world = doc["world"]
+    bounds = _build(Box, "world.bounds", lo=world["bounds"]["min"],
+                    hi=world["bounds"]["max"])
     prisms = []
-    for i, p in enumerate(_list(world.get("prisms", []), "world.prisms")):
+    for i, p in enumerate(world["prisms"]):
         where = f"world.prisms[{i}]"
-        p = _mapping(p, where)
-        exps = p.get("exponents", (1, 1, 1))
-        prism = _build(
-            Prism, {}, where,
-            center=_vec(p.get("center"), where + ".center"),
-            semi_axes=_reals(p.get("semi_axes", ()), where + ".semi_axes"),
-            exponents=_reals(exps, where + ".exponents", _integer))
+        prism = _build(Prism, where, **p)
         # Gamma's term on the bounds face farthest from the center is each
         # axis's largest inside the world: if it is finite, every level value is.
         for j, (c, lo, hi, a, e) in enumerate(zip(
@@ -140,121 +189,59 @@ def scenario_from_dict(data: Dict[str, Any]) -> Scenario:
             except OverflowError:
                 raise ValidationError(f"{where}.exponents[{j}]",
                                       f"overflows gamma within the world bounds, "
-                                      f"got {exps[j]!r}") from None
+                                      f"got {e:.6g}") from None
         prisms.append(prism)
+    regions = [_build(PrivacyRegion, f"world.privacy_regions[{i}]", **r)
+               for i, r in enumerate(world["privacy_regions"])]
+    sun = world["sun"]
+    angles = {k: v for k, v in sun.items() if k in ("azimuth", "elevation") and v is not None}
+    make = SunModel if angles else partial(SunModel.from_position, reference=bounds.center())
+    sun = _build(make, "world.sun", position=sun["position"], drift=sun["drift"], **angles)
+    altitude = world["altitude"]
+    env = _build(Environment, "world", bounds=bounds, known_obstacles=tuple(prisms),
+                 privacy_regions=tuple(regions), sun=sun,
+                 z_min=bounds.lo.z if altitude["min"] is None else altitude["min"],
+                 z_max=bounds.hi.z if altitude["max"] is None else altitude["max"])
 
-    regions = []
-    for i, r in enumerate(_list(world.get("privacy_regions", []), "world.privacy_regions")):
-        where = f"world.privacy_regions[{i}]"
-        r = _mapping(r, where)
-        regions.append(_build(
-            PrivacyRegion, {}, where,
-            center=_vec(r.get("center"), where + ".center"),
-            c1=_finite(r, where + ".c1", 0.0), c2=_finite(r, where + ".c2", 0.0)))
+    energy = doc["energy"]
+    energy = EnergyModel(_build(ConsumptionParams, "energy.consumption",
+                                **energy["consumption"]),
+                         _build(HarvestParams, "energy.harvest", **energy["harvest"]),
+                         _build(HarvestModel, "energy.model", value=energy["model"]))
+    battery = doc["battery"]
+    initial = battery["capacity"] if battery["initial"] is None else battery["initial"]
+    battery = _build(BatteryState, "battery", capacity=battery["capacity"], energy=initial,
+                     floor=battery["floor"])
+    avoidance = doc["avoidance"]
+    degrees = {key: avoidance.pop(key + "_deg") for key in _DEGREES}
+    avoidance.update((key, v) for key, v in degrees.items() if v is not None)
+    obstacles = [_build(MovingObstacle, f"unknown_obstacles[{i}]", **o)
+                 for i, o in enumerate(doc["unknown_obstacles"])]
 
-    sun_raw = _mapping(world.get("sun", {}), "world.sun")
-    sun_pos = _vec(sun_raw.get("position", [0, 0, 10000]), "world.sun.position")
-    drift = _vec(sun_raw.get("drift", [0, 0, 0]), "world.sun.drift")
-    if "azimuth" in sun_raw or "elevation" in sun_raw:
-        sun = _build(SunModel, {}, "world.sun", position=sun_pos,
-                     azimuth=_real(sun_raw.get("azimuth", 0.0), "world.sun.azimuth"),
-                     elevation=_real(sun_raw.get("elevation", math.pi / 2),
-                                     "world.sun.elevation"),
-                     drift=drift)
-    else:
-        sun = SunModel.from_position(sun_pos, bounds.center(), drift)
-
-    env = _build(Environment, {}, "world", bounds=bounds,
-                 known_obstacles=tuple(prisms), privacy_regions=tuple(regions),
-                 sun=sun, z_min=z_min, z_max=z_max)
-
-    energy_raw = _mapping(data.get("energy", {}), "energy")
-    consumption = _build(ConsumptionParams, energy_raw.get("consumption", {}),
-                         "energy.consumption")
-    harvest = _build(HarvestParams, energy_raw.get("harvest", {}), "energy.harvest")
-    mode_name = energy_raw.get("model", "clear")
+    mission, sim, privacy = doc["mission"], doc["sim"], doc["privacy"]
+    if sim["max_duration"] / sim["dt"] > MAX_SIM_STEPS:
+        raise ValidationError("sim.dt", f"{sim['max_duration'] / sim['dt']:.6g} steps exceed "
+                                        f"the budget of {MAX_SIM_STEPS}")
+    sc = _build(Scenario, "scenario", env=env, energy=energy, battery=battery,
+                limits=_build(ControlLimits, "limits", **doc["limits"]),
+                avoidance=_build(AvoidanceParams, "avoidance", **avoidance),
+                unknown_obstacles=tuple(obstacles), dt=sim["dt"],
+                max_duration=sim["max_duration"], arrival_radius=sim["arrival_radius"],
+                name=doc["name"], privacy_m_layers=privacy["m_layers"],
+                privacy_t_max=privacy["t_max"], privacy_pitch=privacy["pitch"], **mission)
     try:
-        mode = HarvestModel(mode_name)
-    except ValueError as exc:
-        raise ValidationError("energy.model", f"unknown model {mode_name!r}") from exc
-    energy = EnergyModel(consumption, harvest, mode)
-
-    battery_raw = _mapping(data.get("battery", {}), "battery")
-    capacity = _finite(battery_raw, "battery.capacity", 670.0)
-    battery = _build(BatteryState, {}, "battery", capacity=capacity,
-                     energy=_finite(battery_raw, "battery.initial", capacity),
-                     floor=_finite(battery_raw, "battery.floor", 50.0))
-
-    limits = _build(ControlLimits, data.get("limits", {}), "limits")
-    avoid_raw = dict(_mapping(data.get("avoidance", {}), "avoidance"))
-    for key in ("alpha_safe", "threshold", "align_tolerance"):
-        deg = avoid_raw.pop(key + "_deg", None)
-        if deg is not None:
-            avoid_raw[key] = math.radians(_real(deg, f"avoidance.{key}_deg"))
-    avoidance = _build(AvoidanceParams, avoid_raw, "avoidance")
-
-    obstacles = []
-    for i, o in enumerate(_list(data.get("unknown_obstacles", []), "unknown_obstacles")):
-        where = f"unknown_obstacles[{i}]"
-        o = _mapping(o, where)
-        obstacles.append(_build(
-            MovingObstacle, {}, where,
-            center=_vec(o.get("center"), where + ".center"),
-            radius=_finite(o, where + ".radius", 0.0),
-            velocity=_vec(o.get("velocity", [0, 0, 0]), where + ".velocity")))
-
-    mission = _mapping(data.get("mission", {}), "mission")
-    grid_resolution = _finite(mission, "mission.grid_resolution", 20.0, positive=True)
-    grid_margin = _finite(mission, "mission.grid_margin", 2.0)
-    lookahead = _finite(mission, "mission.lookahead", 20.0, positive=True)
-    sim_raw = _mapping(data.get("sim", {}), "sim")
-    dt = _finite(sim_raw, "sim.dt", 0.05, positive=True)
-    max_duration = _finite(sim_raw, "sim.max_duration", 200.0)
-    if max_duration / dt > MAX_SIM_STEPS:
-        raise ValidationError("sim.dt", f"{max_duration / dt:.6g} steps exceed the budget "
-                                        f"of {MAX_SIM_STEPS}")
-    privacy_raw = _mapping(data.get("privacy", {}), "privacy")
-    m_layers = _integer(privacy_raw.get("m_layers", 12), "privacy.m_layers")
-    t_max = _optional(privacy_raw, "privacy.t_max", positive=True)
-    pitch = _optional(privacy_raw, "privacy.pitch", positive=True)
-    try:
-        sc = Scenario(
-            env=env,
-            start=_vec(mission.get("start"), "mission.start"),
-            goal=_vec(mission.get("goal"), "mission.goal"),
-            energy=energy,
-            battery=battery,
-            limits=limits,
-            avoidance=avoidance,
-            unknown_obstacles=tuple(obstacles),
-            dt=dt,
-            max_duration=max_duration,
-            planner=str(mission.get("planner", "energy")),
-            grid_resolution=grid_resolution,
-            grid_margin=grid_margin,
-            planar_z=(None if mission.get("planar_z") is None
-                      else _real(mission["planar_z"], "mission.planar_z")),
-            arrival_radius=_optional(sim_raw, "sim.arrival_radius"),
-            lookahead=lookahead,
-            name=str(data.get("name", "scenario")),
-            privacy_m_layers=m_layers,
-            privacy_t_max=t_max,
-            privacy_pitch=pitch,
-        )
-    except (ValueError, OverflowError) as exc:  # OverflowError: a huge prism exponent
-        raise ValidationError("scenario", str(exc)) from exc
-    try:
-        lattice_dims(env, grid_resolution, sc.planar_z)
+        lattice_dims(env, sc.grid_resolution, sc.planar_z)
     except (ValueError, OverflowError) as exc:  # OverflowError: an axis past float range
         raise ValidationError("mission.grid_resolution", str(exc)) from exc
     # The default lattice follows the mission length, so only the DP checks it.
+    t_max, pitch = sc.privacy_t_max, sc.privacy_pitch
     if t_max is not None or pitch is not None:
         horizon = t_max if t_max is not None else default_t_max(sc.start, sc.goal,
                                                                 sc.limits.cruise)
         if horizon > 0:  # a start on the goal has no default horizon and no lattice
             try:
-                dp_lattice_dims(env, sc.goal, m_layers, horizon, sc.limits.cruise, pitch,
-                                sc.planar_z is not None)
+                dp_lattice_dims(env, sc.goal, sc.privacy_m_layers, horizon, sc.limits.cruise,
+                                pitch, sc.planar_z is not None)
             except ValueError as exc:
                 raise ValidationError("privacy.pitch", str(exc)) from exc
     return sc

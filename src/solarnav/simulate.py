@@ -15,7 +15,7 @@ from .energy import BatteryDepleted, BatteryState, EnergyModel, battery_step
 from .grid import EmptyGrid, NavGrid, build_grid
 from .planning import NoPath, NodeInObstacle, Path, attach_battery_profile, \
     plan_energy_efficient, plan_shortest, plan_time_efficient
-from .world import Environment, Vec3, in_shadow, is_collision, prism_clearance
+from .world import Environment, ValidationError, Vec3, in_shadow, is_collision, prism_clearance
 
 CONTROL_MODES = ("hybrid", "reactive-only", "track-only")
 SIM_PLANNERS = ("energy", "time", "shortest")
@@ -34,11 +34,10 @@ class MovingObstacle:
     center: Vec3
     radius: float
     velocity: Vec3 = field(default_factory=lambda: Vec3(0.0, 0.0, 0.0))
-    known_to_planner: bool = False
 
     def __post_init__(self):
         if self.radius <= 0:
-            raise ValueError("obstacle radius must be positive")
+            raise ValidationError("radius", "must be positive")
 
     def at(self, t: float) -> "MovingObstacle":
         return replace(self, center=self.center + self.velocity.scaled(t))

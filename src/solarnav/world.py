@@ -16,6 +16,15 @@ import numpy as np
 _SEGMENT_REFINE_ITERS = 48  # ternary-search iterations; (2/3)^48 ~ 3e-9 of the clip span
 
 
+class ValidationError(ValueError):
+    """A field violates an invariant. A model's own check names the field;
+    the scenario loader prefixes the path to the model."""
+
+    def __init__(self, field: str, reason: str):
+        super().__init__(f"{field}: {reason}")
+        self.field, self.reason = field, reason
+
+
 @dataclass(frozen=True)
 class Vec3:
     """Point or displacement in meters."""
@@ -95,9 +104,9 @@ class Prism:
 
     def __post_init__(self):
         if any(s <= 0 for s in self.semi_axes):
-            raise ValueError(f"semi-axes must be positive, got {self.semi_axes}")
+            raise ValidationError("semi_axes", f"must be positive, got {self.semi_axes}")
         if any(int(e) != e or e < 1 for e in self.exponents):
-            raise ValueError(f"shape exponents must be integers >= 1, got {self.exponents}")
+            raise ValidationError("exponents", f"must be integers >= 1, got {self.exponents}")
 
     @property
     def top(self) -> float:
@@ -129,7 +138,7 @@ class SunModel:
 
     def __post_init__(self):
         if not 0.0 <= self.elevation <= math.pi / 2:
-            raise ValueError(f"elevation must lie in [0, pi/2], got {self.elevation}")
+            raise ValidationError("elevation", f"must lie in [0, pi/2], got {self.elevation}")
 
     def position_at(self, t: float) -> Vec3:
         if self.drift.x == 0.0 and self.drift.y == 0.0 and self.drift.z == 0.0:

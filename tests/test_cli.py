@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from solarnav.cli import main
-from solarnav.scenario_io import (ParseError, ValidationError, load_scenario,
+from solarnav.scenario_io import (SPEC, ParseError, ValidationError, load_scenario,
                                   load_scenario_file, save_scenario, scenario_digest,
                                   scenario_from_dict, scenario_to_dict, section4_preset,
                                   section5_preset)
@@ -124,7 +124,9 @@ def test_plan_unknown_planner_usage_error(tmp_path):
                        "exponents": [4, 1e308, 4]}]),
     ("world.prisms", [{"center": [100, 40, 60], "semi_axes": [20, 20, 60],
                        "exponents": [4, 200, 4]}]),
-    ("world.bounds.max", [200, 10 ** 400, 120]), ("world.sun.position", [10 ** 400, 0, 9000])],
+    ("world.bounds.max", [200, 10 ** 400, 120]), ("world.sun.position", [10 ** 400, 0, 9000]),
+    ("energy.harvest.delta_c", 0), ("energy.harvest.eta", 2), ("energy.harvest.beta_c", -1),
+    ("limits.u_max", 0), ("avoidance.r_sensor", -1)],
     ids=lambda v: v.removeprefix("mission.") if isinstance(v, str) else None)
 def test_plan_rejects_bad_grid_parameters(tmp_path, field, value):
     """A malformed or over-budget field exits 2 and names its path."""
@@ -186,7 +188,7 @@ def test_altitude_model_rejects_a_nonpositive_scale_height(tmp_path):
     doc["energy"] = {"model": "altitude", "harvest": {"delta_c": 0}}
     result = CliRunner().invoke(main, ["plan", "-s", write(tmp_path, yaml.safe_dump(doc))])
     assert result.exit_code == 2, result.output
-    assert "energy.harvest: delta_c must be positive" in result.output
+    assert "energy.harvest.delta_c: must be positive" in result.output
 
 
 def _with_optional_fields(doc):
@@ -255,6 +257,127 @@ def test_loader_rejects_or_keeps_every_number_finite(leaf, value):
     except (ParseError, ValidationError):
         return
     assert all(math.isfinite(x) for x in _numbers(scenario_to_dict(sc)))
+
+
+def _mappings(node, path=()):
+    """Every mapping of a nested document, with its path."""
+    if isinstance(node, dict):
+        yield path, node
+    for key, value in (node.items() if isinstance(node, dict) else enumerate(node)):
+        if isinstance(value, (dict, list)):
+            yield from _mappings(value, path + (key,))
+
+
+def _dotted(path):
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path).lstrip(".")
+
+
+def _swapped(key):
+    """`key` with the first two distinct adjacent letters from its middle swapped."""
+    for i in sorted(range(1, len(key)), key=lambda i: abs(i - len(key) // 2)):
+        if key[i - 1] != key[i]:
+            return key[:i - 1] + key[i] + key[i - 1] + key[i + 1:]
+
+
+MISSPELT = [("section4", ("mission",), "grid_resolutoin", "grid_resolution"),
+            ("section4", ("sim",), "dtt", "dt"),
+            ("section4", ("privacy",), "m_layer", "m_layers"),
+            ("section4", ("world",), "prism", "prisms"),
+            ("section4", ("battery",), "capacty", "capacity"),
+            ("section4", (), "missoin", "mission"),
+            ("section4", ("world", "prisms", 0), "exponent", "exponents"),
+            ("section4", ("world", "sun"), "positon", "position")]
+# One misspelt copy of the longest key of every mapping of both presets.
+MISSPELT += [(name, path, _swapped(key), key) for name, doc in PRESET_DOCS.items()
+             for path, node in _mappings(doc()) for key in [max(node, key=len)]]
+
+
+@pytest.mark.parametrize("name, path, bad, key", MISSPELT,
+                         ids=[f"{n}:{_dotted(p + (b,))}" for n, p, b, _ in MISSPELT])
+def test_misspelt_key_is_named_with_the_closest_known_key(tmp_path, name, path, bad, key):
+    """A key outside the loader's spec exits 2 at its full path and suggests
+    the key it misspells."""
+    doc = PRESET_DOCS[name]()
+    node = doc
+    for k in path:
+        node = node[k]
+    node[bad] = node.get(key, 1.0)
+    result = CliRunner().invoke(main, ["plan", "-s", write(tmp_path, yaml.safe_dump(doc))])
+    assert result.exit_code == 2, result.output
+    assert f"{_dotted(path + (bad,))}: unknown key; did you mean {key!r}?" in result.output
+
+
+_KEYS = st.sampled_from(sorted({k for _, doc in PRESET_DOCS.items()
+                                for _, node in _mappings(doc()) for k in node}))
+_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+            | st.sampled_from(["energy", "clear", "altitude"]))
+_VALUES = st.recursive(_SCALARS, lambda inner: st.lists(inner, max_size=4)
+                       | st.dictionaries(_KEYS | _SCALARS, inner, max_size=4), max_leaves=12)
+PRESET_NODES = [(name, path) for name, doc in PRESET_DOCS.items()
+                for path in [()] + [p[:i] for p in _leaves(doc()) for i in range(1, len(p) + 1)]]
+
+
+def _merge(node, value):
+    """`value` merged into `node`: mappings key by key, anything else replaced."""
+    if not (isinstance(node, dict) and isinstance(value, dict)):
+        return value
+    return {**node, **{k: _merge(node[k], v) if k in node else v for k, v in value.items()}}
+
+
+@settings(max_examples=300, deadline=None)
+@given(node=st.sampled_from(PRESET_NODES), value=_VALUES)
+@example(node=("section4", ()),  # the sun's direction from the bounds center overflows
+         value={"world": {"prisms": [], "bounds": {"max": [1.7e308, 1.7e308, 1.7e308]},
+                          "sun": {"position": [-1.7e308, 0, 1e300]}}})
+def test_loader_takes_any_nested_value_or_raises_a_scenario_error(node, value):
+    """An arbitrary mapping, list or scalar merged into a preset at any path:
+    the loader raises ParseError or ValidationError, or returns a Scenario
+    whose saved form keeps every key given, the degree aliases aside."""
+    name, path = node
+    doc = PRESET_DOCS[name]()
+    if not path:
+        doc = _merge(doc, value)
+    else:
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = _merge(parent[path[-1]], value)
+    try:
+        sc = scenario_from_dict(doc)
+    except (ParseError, ValidationError):
+        return
+    saved = {path + (k,) for path, node in _mappings(scenario_to_dict(sc)) for k in node}
+    assert {path + (k,) for path, node in _mappings(doc) for k in node
+            if not str(k).endswith("_deg")} <= saved
+
+
+def test_saved_keys_are_the_keys_the_loader_reads():
+    """scenario_to_dict writes every key of the loader's spec, the degree
+    aliases aside, and no other, at every level of both presets."""
+    def walk(node, spec, where):
+        assert set(node) == {k for k in spec if not k.endswith("_deg")}, where
+        for key, value in node.items():
+            reader = spec[key][0]
+            if isinstance(reader, dict):
+                walk(value, reader, f"{where}.{key}")
+            elif isinstance(reader, list):
+                assert value, f"{where}.{key} is empty, so its items go unchecked"
+                for i, item in enumerate(value):
+                    walk(item, reader[0], f"{where}.{key}[{i}]")
+    for name, make in PRESET_DOCS.items():
+        doc = make()
+        doc["world"]["privacy_regions"] = [{"center": [100, 60, 100], "c1": 5, "c2": 30}]
+        doc.setdefault("unknown_obstacles", [{"center": [100, 60, 100], "radius": 5}])
+        walk(scenario_to_dict(scenario_from_dict(doc)), SPEC, name)
+
+
+def test_readme_scenario_example_loads():
+    """The YAML example under README's "Scenario files" uses only keys the
+    loader knows."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    example = readme.split("### Scenario files", 1)[1].split("```yaml\n", 1)[1]
+    sc = scenario_from_dict(yaml.safe_load(example.split("```", 1)[0]))
+    assert sc.name == "demo" and len(sc.env.known_obstacles) == 1
 
 
 def test_oversized_lattice_rejected_before_any_grid(tmp_path, monkeypatch):

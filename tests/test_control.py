@@ -81,15 +81,6 @@ def test_clamping_warns_and_limits():
     assert out.speed == LIMITS.v_max
 
 
-def test_altitude_band_clamp():
-    s = make_state(z=99.5)
-    with warnings.catch_warnings(record=True):
-        warnings.simplefilter("ignore")
-        out = step_kinematics_3d(s, 0.0, 3.0, 0.0, 1.0, LIMITS,
-                                 altitude_band=(40.0, 100.0))
-    assert out.position.z == 100.0
-
-
 # ---------------------------------------------------------------- pure pursuit
 
 STRAIGHT = [Vec3(20.0 * i, 0.0, 100.0) for i in range(11)]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -434,5 +435,10 @@ def test_dp_state_budget_counts_reachable_nodes(monkeypatch):
     with pytest.raises(privacy_mod.DpBudgetExceeded, match="int64"):
         plan_privacy_dp(env, Vec3(20, 100, 20), Vec3(140, 100, 20), 12, 48.0, 10.0,
                         pitch=1e-300)
+    with warnings.catch_warnings():  # a subnormal pitch is rejected before any division
+        warnings.simplefilter("error")
+        with pytest.raises(privacy_mod.DpBudgetExceeded, match="int64"):
+            plan_privacy_dp(env, Vec3(20, 100, 20), Vec3(140, 100, 20), 12, 48.0, 10.0,
+                            pitch=1e-320)
     with pytest.raises(ValueError, match="t_max"):
         plan_privacy_dp(env, Vec3(20, 100, 20), Vec3(140, 100, 20), 12, 0.0, 10.0)
