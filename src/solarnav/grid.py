@@ -5,15 +5,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from .energy import EnergyModel
+from .world import SEGMENT_BLOCK, Environment, Vec3, clear_of_prisms, segments_blocked
 # in_shadow stays importable here: bench/tracing.py binds it on this module.
-from .world import Environment, Vec3, clear_of_prisms, in_shadow, segments_blocked  # noqa: F401
+from .world import in_shadow  # noqa: F401
 
-MAX_GRID_NODES = 1_000_000  # build_grid peaks near 1.2 kB per node (0.41 GB at 272k)
+MAX_GRID_NODES = 1_000_000  # build_grid peaks near 0.2 kB per node (218 MB RSS at 960k)
 
 
 class EmptyGrid(Exception):
@@ -120,7 +121,15 @@ class NavGrid(Lattice):
     lit_gain: np.ndarray               # (K, nz) J
 
     def __post_init__(self):
+        # neighbors reads a snapshot of edge_ok, so no array may change later.
+        for table in (self.free, self.edge_ok, self.shadow, self.e_out, self.duration,
+                      self.length, self.lit_gain):
+            table.setflags(write=False)
         self._offset_index = {tuple(o): k for k, o in enumerate(self.offsets.tolist())}
+        self._edge_ok_bytes = self.edge_ok.tobytes()
+        n = self.node_count
+        self._moves = [(k, k * n, int(delta)) for k, delta in
+                       enumerate(self.flat_of(*self.offsets.T).tolist())]
 
     @property
     def planar(self) -> bool:
@@ -133,19 +142,13 @@ class NavGrid(Lattice):
         return bool(self.free[self.unflatten(flat)])
 
     def neighbors(self, flat: int) -> Iterator[Tuple[int, int]]:
-        """Yield (neighbor_flat, offset_index) over valid outgoing edges."""
-        ix, iy, iz = self.unflatten(flat)
-        nx, ny, nz = self.dims
-        for k in range(self.offsets.shape[0]):
-            if not self.edge_ok[k, ix, iy, iz]:
-                continue
-            dx, dy, dz = self.offsets[k]
-            jx, jy, jz = ix + dx, iy + dy, iz + dz
-            yield (jx * ny + jy) * nz + jz, k
-
-    def coord_lists(self) -> Tuple[list, list, list]:
-        """Per-node x/y/z coordinates as plain lists (search hot path)."""
-        return tuple(self.node_coords(self.indices()).T.tolist())
+        """Yield (neighbor_flat, offset_index) over valid outgoing edges, in
+        offset order. Edge (flat, k) is byte k * node_count + flat of edge_ok,
+        and its target is flat plus the flat-index delta of offset k."""
+        ok = self._edge_ok_bytes
+        for k, row, delta in self._moves:
+            if ok[row + flat]:
+                yield flat + delta, k
 
     def search_tables(self) -> Tuple[bytes, list, list]:
         """Plain views of the edge arrays for search loops: the shadow flag of
@@ -222,27 +225,23 @@ def build_grid(env: Environment, resolution: float, margin: float = 2.0,
 
     offsets = _offsets(planar=(nz == 1))
     n_off = offsets.shape[0]
+    deltas = lattice.flat_of(*offsets.T)
     edge_ok = np.zeros((n_off, nx, ny, nz), dtype=bool)
-    # offsets[n_off - 1 - k] == -offsets[k]: test each undirected edge once.
-    for k in range(n_off // 2):
-        dx, dy, dz = offsets[k]
-        # Candidate edges: both endpoints free, shifted masks aligned.
-        src = np.zeros((nx, ny, nz), dtype=bool)
-        sl_src = (slice(max(0, -dx), nx - max(0, dx)),
-                  slice(max(0, -dy), ny - max(0, dy)),
-                  slice(max(0, -dz), nz - max(0, dz)))
-        sl_dst = (slice(max(0, dx), nx - max(0, -dx)),
-                  slice(max(0, dy), ny - max(0, -dy)),
-                  slice(max(0, dz), nz - max(0, -dz)))
-        src[sl_src] = free[sl_src] & free[sl_dst]
-        idx = np.argwhere(src)
-        if idx.size:
-            starts = lattice.node_coords(idx)
-            ends = starts + np.array([dx, dy, dz]) * resolution
-            clear = ~segments_blocked(env, starts, ends)
-            ok = idx[clear]
-            edge_ok[k, ok[:, 0], ok[:, 1], ok[:, 2]] = True
-            edge_ok[n_off - 1 - k, ok[:, 0] + dx, ok[:, 1] + dy, ok[:, 2] + dz] = True
+    flat_ok = edge_ok.reshape(n_off, -1)
+    # offsets[n_off - 1 - k] == -offsets[k]: test each undirected edge once,
+    # from the source nodes whose target along k is free too.
+    sources = ((k, _edge_sources(free, offsets[k])) for k in range(n_off // 2))
+    for block in _row_blocks(sources, SEGMENT_BLOCK):
+        starts = points[np.concatenate([src for _, src in block])]
+        ends = starts + np.repeat(offsets[[k for k, _ in block]],
+                                  [len(src) for _, src in block], axis=0) * resolution
+        clear = ~segments_blocked(env, starts, ends)
+        row = 0
+        for k, src in block:
+            ok = src[clear[row:row + len(src)]]
+            row += len(src)
+            flat_ok[k, ok] = True
+            flat_ok[n_off - 1 - k, ok + deltas[k]] = True
 
     # Edge midpoints lie on the half-step lattice, where node i sits at index
     # 2 * i + 1 and the midpoint of its edge along k at 2 * i + 1 + offsets[k].
@@ -253,10 +252,14 @@ def build_grid(env: Environment, resolution: float, margin: float = 2.0,
     half = np.zeros((2 * nx + 1, 2 * ny + 1, 2 * nz + 1), dtype=bool)
     for k, view in enumerate(mid_views):
         half[view] |= edge_ok[k]
-    at = np.argwhere(half)
-    mids = lattice.origin + (at - 1) * (resolution / 2.0)
+    flat_half = half.reshape(-1)
+    marked = np.flatnonzero(flat_half)
     sun = env.sun.position_at(0.0).as_array()
-    half[tuple(at.T)] = segments_blocked(env, np.broadcast_to(sun, mids.shape), mids)
+    for i in range(0, len(marked), SEGMENT_BLOCK):
+        at = marked[i:i + SEGMENT_BLOCK]
+        at3 = np.stack(np.unravel_index(at, half.shape), axis=1)
+        mids = lattice.origin + (at3 - 1) * (resolution / 2.0)
+        flat_half[at] = segments_blocked(env, np.broadcast_to(sun, mids.shape), mids)
     shadow = np.stack([half[view] & edge_ok[k] for k, view in enumerate(mid_views)])
 
     energy = energy or EnergyModel()
@@ -267,6 +270,41 @@ def build_grid(env: Environment, resolution: float, margin: float = 2.0,
                    free=free, offsets=offsets, edge_ok=edge_ok, margin=margin,
                    energy=energy, e_out=e_out, duration=duration, length=length,
                    shadow=shadow, lit_gain=lit_gain)
+
+
+def _edge_sources(free: np.ndarray, offset: np.ndarray) -> np.ndarray:
+    """Flat indices of the free nodes whose neighbour along `offset` is free."""
+    nx, ny, nz = free.shape
+    dx, dy, dz = offset.tolist()
+    src = np.zeros(free.shape, dtype=bool)
+    sl_src = (slice(max(0, -dx), nx - max(0, dx)),
+              slice(max(0, -dy), ny - max(0, dy)),
+              slice(max(0, -dz), nz - max(0, dz)))
+    sl_dst = (slice(max(0, dx), nx - max(0, -dx)),
+              slice(max(0, dy), ny - max(0, -dy)),
+              slice(max(0, dz), nz - max(0, -dz)))
+    src[sl_src] = free[sl_src] & free[sl_dst]
+    return np.flatnonzero(src)
+
+
+def _row_blocks(pieces: Iterable[Tuple[int, np.ndarray]],
+                size: int) -> Iterator[List[Tuple[int, np.ndarray]]]:
+    """Regroup a stream of (key, rows) pieces into blocks of `size` rows, the
+    last one shorter, splitting a piece where a block fills. Pieces are drawn
+    only as blocks need them."""
+    block: List[Tuple[int, np.ndarray]] = []
+    room = size
+    for key, rows in pieces:
+        while len(rows):
+            take = rows[:room]
+            block.append((key, take))
+            rows = rows[len(take):]
+            room -= len(take)
+            if not room:
+                yield block
+                block, room = [], size
+    if block:
+        yield block
 
 
 def _offset_tables(env: Environment, energy: EnergyModel, offsets: np.ndarray,

@@ -16,7 +16,7 @@ from .energy import BatteryState, ConsumptionParams, EnergyModel, HarvestModel, 
     HarvestParams
 from .grid import lattice_dims
 from .privacy import default_t_max, dp_lattice_dims
-from .simulate import MAX_SIM_STEPS, MovingObstacle, Scenario
+from .simulate import MAX_SIM_STEPS, PLANNER_NAMES, MovingObstacle, Scenario
 from .world import Box, Environment, Prism, PrivacyRegion, SunModel, ValidationError, Vec3
 
 
@@ -76,6 +76,21 @@ def _text(raw: Any, where: str) -> str:
     return str(raw)
 
 
+def _closest(name: str, known) -> str:
+    """A hint naming the item of `known` closest to `name`, or ''."""
+    from difflib import get_close_matches  # here, off the import-time path
+    close = get_close_matches(name, list(known), n=1)
+    return f"; did you mean {close[0]!r}?" if close else ""
+
+
+def _planner(raw: Any, where: str) -> str:
+    """`raw` as one of the planner names the CLI and the simulator accept."""
+    name = _text(raw, where)
+    if name not in PLANNER_NAMES:
+        raise ValidationError(where, f"unknown planner {name!r}" + _closest(name, PLANNER_NAMES))
+    return name
+
+
 def _optional(convert: Callable[[Any, str], Any]) -> Callable[[Any, str], Any]:
     """`convert` that reads null as None."""
     return lambda raw, where: None if raw is None else convert(raw, where)
@@ -119,7 +134,7 @@ SPEC = {
         for key in _DEGREES}}, {}),
     "unknown_obstacles": ([{"center": (_vec, ()), "radius": (_nonnegative, 0.0),
                             "velocity": (_vec, _ORIGIN)}], []),
-    "mission": ({"start": (_vec, ()), "goal": (_vec, ()), "planner": (_text, "energy"),
+    "mission": ({"start": (_vec, ()), "goal": (_vec, ()), "planner": (_planner, "energy"),
                  "grid_resolution": (_positive, 20.0), "grid_margin": (_nonnegative, 2.0),
                  "planar_z": (_optional(_real), None), "lookahead": (_positive, 20.0)}, {}),
     "sim": ({"dt": (_positive, 0.05), "max_duration": (_nonnegative, 200.0),
@@ -138,10 +153,7 @@ def _section(raw: Any, where: str, spec: Dict[str, tuple]) -> Dict[str, Any]:
     prefix = f"{where}." if where else ""
     for key in raw:
         if key not in spec:
-            from difflib import get_close_matches  # here, off the import-time path
-            close = get_close_matches(str(key), list(spec), n=1)
-            raise ValidationError(f"{prefix}{key}", "unknown key" + (
-                f"; did you mean {close[0]!r}?" if close else ""))
+            raise ValidationError(f"{prefix}{key}", "unknown key" + _closest(str(key), spec))
     out = {}
     for key, (reader, default) in spec.items():
         path, value = prefix + key, raw.get(key, default)
@@ -159,12 +171,14 @@ def _section(raw: Any, where: str, spec: Dict[str, tuple]) -> Dict[str, Any]:
     return out
 
 
-def _build(cls, where: str, **kwargs):
-    """`cls(**kwargs)`, its errors at `where`, or at the field they name."""
+def _build(cls, where: str, given: Optional[Dict[str, str]] = None, **kwargs):
+    """`cls(**kwargs)`, its errors at `where`, or at the field they name; a
+    field read from another key is named by that key, `given[field]`."""
     try:
         return cls(**kwargs)
     except ValidationError as exc:
-        raise ValidationError(f"{where}.{exc.field}", exc.reason) from exc
+        field = (given or {}).get(exc.field, exc.field)
+        raise ValidationError(f"{where}.{field}", exc.reason) from exc
     except (ValueError, OverflowError) as exc:  # OverflowError: a huge prism exponent
         raise ValidationError(where, str(exc)) from exc
 
@@ -214,7 +228,8 @@ def scenario_from_dict(data: Dict[str, Any]) -> Scenario:
                      floor=battery["floor"])
     avoidance = doc["avoidance"]
     degrees = {key: avoidance.pop(key + "_deg") for key in _DEGREES}
-    avoidance.update((key, v) for key, v in degrees.items() if v is not None)
+    degrees = {key: v for key, v in degrees.items() if v is not None}
+    avoidance.update(degrees)
     obstacles = [_build(MovingObstacle, f"unknown_obstacles[{i}]", **o)
                  for i, o in enumerate(doc["unknown_obstacles"])]
 
@@ -224,7 +239,8 @@ def scenario_from_dict(data: Dict[str, Any]) -> Scenario:
                                         f"the budget of {MAX_SIM_STEPS}")
     sc = _build(Scenario, "scenario", env=env, energy=energy, battery=battery,
                 limits=_build(ControlLimits, "limits", **doc["limits"]),
-                avoidance=_build(AvoidanceParams, "avoidance", **avoidance),
+                avoidance=_build(AvoidanceParams, "avoidance",
+                                 {key: key + "_deg" for key in degrees}, **avoidance),
                 unknown_obstacles=tuple(obstacles), dt=sim["dt"],
                 max_duration=sim["max_duration"], arrival_radius=sim["arrival_radius"],
                 name=doc["name"], privacy_m_layers=privacy["m_layers"],

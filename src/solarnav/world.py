@@ -14,6 +14,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 _SEGMENT_REFINE_ITERS = 48  # ternary-search iterations; (2/3)^48 ~ 3e-9 of the clip span
+SEGMENT_BLOCK = 65_536  # rows per pass of segments_blocked
+_AABB_PAD = 1e-9  # broad-phase pad, relative to a block's largest coordinate
 
 
 class ValidationError(ValueError):
@@ -228,20 +230,25 @@ def prism_clearance(p: Vec3, prism: Prism) -> float:
     return math.sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2]) * (1.0 - s)
 
 
-def _gamma_points(points: np.ndarray, prism: Prism) -> np.ndarray:
-    """Vectorized gamma over an (N, 3) array of points."""
-    c = prism.center.as_array()
-    s = np.array(prism.semi_axes, dtype=float)
-    d = np.array(prism.exponents, dtype=int)
-    q = ((points - c) / s) ** 2
-    return q[:, 0] ** d[0] + q[:, 1] ** d[1] + q[:, 2] ** d[2]
+def _prism_arrays(prism: Prism) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Center, semi-axes and exponents of `prism` as the arrays `_gamma_points` takes."""
+    return (prism.center.as_array(), np.array(prism.semi_axes, dtype=float),
+            np.array(prism.exponents, dtype=int))
+
+
+def _gamma_points(axes, c: np.ndarray, s: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Vectorized gamma over points given as their x, y and z arrays, for the
+    prism given by `_prism_arrays`."""
+    q = [((x - ci) / si) ** 2 for x, ci, si in zip(axes, c, s)]
+    return q[0] ** d[0] + q[1] ** d[1] + q[2] ** d[2]
 
 
 def clear_of_prisms(env: Environment, points: np.ndarray, margin: float = 0.0) -> np.ndarray:
     """Which (N, 3) points lie outside every prism grown by `margin`."""
     clear = np.ones(len(points), dtype=bool)
     for prism in env.known_obstacles:
-        clear &= _gamma_points(points, prism.inflated(margin) if margin > 0 else prism) > 1.0
+        test = prism.inflated(margin) if margin > 0 else prism
+        clear &= _gamma_points(points.T, *_prism_arrays(test)) > 1.0
     return clear
 
 
@@ -308,36 +315,79 @@ def _min_gamma_on_segments(starts: np.ndarray, dirs: np.ndarray, prism: Prism,
         t_star = np.clip(t_star, t0, t1)
         return qa * t_star * t_star + qb * t_star + qc
 
+    c, s, d = _prism_arrays(prism)
+    # One contiguous array per axis: operations on (N, 3) rows run far slower.
+    p0 = [np.ascontiguousarray(col) for col in starts.T]
+    v = [np.ascontiguousarray(col) for col in dirs.T]
+
     def g_at(t: np.ndarray) -> np.ndarray:
-        return _gamma_points(starts + t[:, None] * dirs, prism)
+        # t is (N,) or (2, N): both probes of an iteration share one pass.
+        return _gamma_points([pi + t * vi for pi, vi in zip(p0, v)], c, s, d)
 
     a, b = t0.copy(), t1.copy()
     for _ in range(_SEGMENT_REFINE_ITERS):
-        m1 = a + (b - a) / 3.0
-        m2 = b - (b - a) / 3.0
-        left_lower = g_at(m1) < g_at(m2)
-        b = np.where(left_lower, m2, b)
-        a = np.where(left_lower, a, m1)
+        third = (b - a) / 3.0
+        m = np.stack((a + third, b - third))
+        g = g_at(m)
+        left_lower = g[0] < g[1]
+        np.copyto(b, m[1], where=left_lower)
+        np.copyto(a, m[0], where=~left_lower)
     return g_at((a + b) / 2.0)
 
 
-def segments_blocked(env: Environment, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """Vectorized prism-intersection test for N segments (closed segments)."""
-    starts = np.asarray(starts, dtype=float).reshape(-1, 3)
-    ends = np.asarray(ends, dtype=float).reshape(-1, 3)
+def _blocked_block(prisms: Tuple[Prism, ...], starts: np.ndarray,
+                   ends: np.ndarray) -> np.ndarray:
+    """`segments_blocked` over one block of rows.
+
+    Broad phase: a segment is clipped to a prism's AABB and searched only when
+    its own AABB, grown by `_AABB_PAD` of the block's largest coordinate,
+    overlaps the prism's. The pad covers the rounding of `ends - starts`
+    inside the clip, which can let a segment ending within an ulp of a face
+    touch it at t = 1, so the clip rejects every row the broad phase skips."""
     dirs = ends - starts
-    blocked = np.zeros(starts.shape[0], dtype=bool)
-    for prism in env.known_obstacles:
-        todo = ~blocked
-        if not todo.any():
-            break
+    n = starts.shape[0]
+    seg_lo = np.minimum(starts.T, ends.T, out=np.empty((3, n)))
+    seg_hi = np.maximum(starts.T, ends.T, out=np.empty((3, n)))
+    pad = _AABB_PAD * (1.0 + max(np.fmax.reduce(seg_hi, axis=None),
+                                 -np.fmin.reduce(seg_lo, axis=None)))
+    seg_lo -= pad
+    seg_hi += pad
+    # The block's own AABB rules a prism out for all its rows at once.
+    block_lo, block_hi = np.fmin.reduce(seg_lo, axis=1), np.fmax.reduce(seg_hi, axis=1)
+    blocked = np.zeros(n, dtype=bool)
+    for prism in prisms:
         lo, hi = prism.aabb()
-        t0, t1, valid = _clip_to_aabb(starts[todo], dirs[todo], lo, hi)
-        if not valid.any():
+        if (block_lo > hi).any() or (block_hi < lo).any():
             continue
-        sub = np.flatnonzero(todo)[valid]
+        near = ~blocked
+        for axis in range(3):
+            near &= seg_lo[axis] <= hi[axis]
+            near &= seg_hi[axis] >= lo[axis]
+        rows = np.flatnonzero(near)
+        if not rows.size:
+            continue
+        t0, t1, valid = _clip_to_aabb(starts[rows], dirs[rows], lo, hi)
+        sub = rows[valid]
+        if not sub.size:
+            continue
         min_g = _min_gamma_on_segments(starts[sub], dirs[sub], prism, t0[valid], t1[valid])
         blocked[sub[min_g <= 1.0]] = True
+    return blocked
+
+
+def segments_blocked(env: Environment, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Vectorized prism-intersection test for N segments (closed segments).
+
+    Rows are independent, so they are tested `SEGMENT_BLOCK` at a time,
+    which bounds the temporaries of a call whatever N is."""
+    starts = np.asarray(starts, dtype=float).reshape(-1, 3)
+    ends = np.asarray(ends, dtype=float).reshape(-1, 3)
+    blocked = np.zeros(starts.shape[0], dtype=bool)
+    prisms = env.known_obstacles
+    if prisms:
+        for i in range(0, starts.shape[0], SEGMENT_BLOCK):
+            rows = slice(i, i + SEGMENT_BLOCK)
+            blocked[rows] = _blocked_block(prisms, starts[rows], ends[rows])
     return blocked
 
 

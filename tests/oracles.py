@@ -2,7 +2,9 @@
 
 Every oracle here recomputes its answer by a different mechanism than the
 code under test: a classify-then-price pass per move instead of one pass,
-dense ray-marching instead of analytic minimization, doubling
+dense ray-marching instead of analytic minimization, every row clipped
+against every prism in one pass instead of a broad phase and row blocks,
+array indexing per offset instead of plain-list neighbours, doubling
 and bisection on Vec3 points instead of a closed-form bracket, dense
 resampling instead of arc-length walking, per-edge scalar evaluation instead
 of per-offset tables and a batched shadow mask, product-graph search instead
@@ -45,6 +47,88 @@ def raymarch_segment_blocked(env: Environment, a: Vec3, b: Vec3,
     return False
 
 
+def reference_segments_blocked(env: Environment, starts: np.ndarray,
+                                ends: np.ndarray) -> np.ndarray:
+    """`world.segments_blocked` as it was before its broad phase and row
+    blocks: every remaining row is slab-clipped against every prism's AABB in
+    one pass, then searched with gamma's arrays rebuilt at each evaluation.
+    The kernels below are copies, so a change to the library's is caught."""
+    starts = np.asarray(starts, dtype=float).reshape(-1, 3)
+    ends = np.asarray(ends, dtype=float).reshape(-1, 3)
+    dirs = ends - starts
+    blocked = np.zeros(starts.shape[0], dtype=bool)
+    for prism in env.known_obstacles:
+        todo = ~blocked
+        if not todo.any():
+            break
+        lo, hi = prism.aabb()
+        t0, t1, valid = _reference_clip(starts[todo], dirs[todo], lo, hi)
+        if not valid.any():
+            continue
+        sub = np.flatnonzero(todo)[valid]
+        min_g = _reference_min_gamma(starts[sub], dirs[sub], prism, t0[valid], t1[valid])
+        blocked[sub[min_g <= 1.0]] = True
+    return blocked
+
+
+def _reference_gamma_points(points: np.ndarray, prism: Prism) -> np.ndarray:
+    c = prism.center.as_array()
+    s = np.array(prism.semi_axes, dtype=float)
+    d = np.array(prism.exponents, dtype=int)
+    q = ((points - c) / s) ** 2
+    return q[:, 0] ** d[0] + q[:, 1] ** d[1] + q[:, 2] ** d[2]
+
+
+def _reference_clip(starts: np.ndarray, dirs: np.ndarray, lo: np.ndarray,
+                    hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    n = starts.shape[0]
+    t0 = np.zeros(n)
+    t1 = np.ones(n)
+    valid = np.ones(n, dtype=bool)
+    for axis in range(3):
+        s = starts[:, axis]
+        d = dirs[:, axis]
+        near_zero = np.abs(d) < 1e-303
+        miss = near_zero & ((s < lo[axis]) | (s > hi[axis]))
+        valid &= ~miss
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ta = (lo[axis] - s) / d
+            tb = (hi[axis] - s) / d
+        lo_t = np.where(near_zero, 0.0, np.minimum(ta, tb))
+        hi_t = np.where(near_zero, 1.0, np.maximum(ta, tb))
+        t0 = np.maximum(t0, lo_t)
+        t1 = np.minimum(t1, hi_t)
+    valid &= t0 <= t1
+    return t0, t1, valid
+
+
+def _reference_min_gamma(starts: np.ndarray, dirs: np.ndarray, prism: Prism,
+                         t0: np.ndarray, t1: np.ndarray) -> np.ndarray:
+    if prism.exponents == (1, 1, 1):
+        s = np.array(prism.semi_axes, dtype=float)
+        u = (starts - prism.center.as_array()) / s
+        w = dirs / s
+        qa = np.einsum("ij,ij->i", w, w)
+        qb = 2.0 * np.einsum("ij,ij->i", u, w)
+        qc = np.einsum("ij,ij->i", u, u)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t_star = np.where(qa > 0, -qb / (2.0 * np.maximum(qa, 1e-300)), t0)
+        t_star = np.clip(t_star, t0, t1)
+        return qa * t_star * t_star + qb * t_star + qc
+
+    def g_at(t: np.ndarray) -> np.ndarray:
+        return _reference_gamma_points(starts + t[:, None] * dirs, prism)
+
+    a, b = t0.copy(), t1.copy()
+    for _ in range(48):
+        m1 = a + (b - a) / 3.0
+        m2 = b - (b - a) / 3.0
+        left_lower = g_at(m1) < g_at(m2)
+        b = np.where(left_lower, m2, b)
+        a = np.where(left_lower, a, m1)
+    return g_at((a + b) / 2.0)
+
+
 def reference_prism_clearance(p: Vec3, prism: Prism) -> float:
     """Signed distance to the surface along the center ray, found by doubling
     a bracket from s = 1 and then bisecting it 60 times, each step evaluating
@@ -67,6 +151,19 @@ def reference_prism_clearance(p: Vec3, prism: Prism) -> float:
         else:
             hi = mid
     return r * (1.0 - 0.5 * (lo + hi))
+
+
+def reference_neighbors(grid: NavGrid, flat: int) -> List[Tuple[int, int]]:
+    """`NavGrid.neighbors` by array indexing: edge_ok[k, ix, iy, iz] for each
+    offset k, and the target from the node's indices plus offsets[k]."""
+    ix, iy, iz = grid.unflatten(flat)
+    _, ny, nz = grid.dims
+    out = []
+    for k in range(grid.offsets.shape[0]):
+        if grid.edge_ok[k, ix, iy, iz]:
+            dx, dy, dz = grid.offsets[k]
+            out.append((int(((ix + dx) * ny + iy + dy) * nz + iz + dz), k))
+    return out
 
 
 def reference_edge_cost(grid: NavGrid, a: int, b: int) -> EdgeCost:

@@ -126,7 +126,8 @@ def test_plan_unknown_planner_usage_error(tmp_path):
                        "exponents": [4, 200, 4]}]),
     ("world.bounds.max", [200, 10 ** 400, 120]), ("world.sun.position", [10 ** 400, 0, 9000]),
     ("energy.harvest.delta_c", 0), ("energy.harvest.eta", 2), ("energy.harvest.beta_c", -1),
-    ("limits.u_max", 0), ("avoidance.r_sensor", -1)],
+    ("limits.u_max", 0), ("avoidance.r_sensor", -1), ("mission.planner", "warp"),
+    ("avoidance.alpha_safe_deg", 95)],
     ids=lambda v: v.removeprefix("mission.") if isinstance(v, str) else None)
 def test_plan_rejects_bad_grid_parameters(tmp_path, field, value):
     """A malformed or over-budget field exits 2 and names its path."""

@@ -15,7 +15,7 @@ from solarnav import (Box, ConsumptionParams, DpLattice, EmptyGrid, EnergyModel,
 from solarnav.privacy import _lattice_offsets
 
 from conftest import empty_env, env_with, random_env
-from oracles import reference_edge_cost
+from oracles import reference_edge_cost, reference_neighbors
 
 
 def test_empty_world_node_count():
@@ -24,6 +24,42 @@ def test_empty_world_node_count():
     assert grid.free_count() == 11 ** 3
     interior = grid.flat_of(5, 5, 5)
     assert len(list(grid.neighbors(interior))) == 26
+
+
+@pytest.mark.parametrize("planar_z", [None, 50.0])
+def test_neighbors_match_array_indexing(planar_z):
+    """Every node yields the (flat, k) sequence of the array-indexing version,
+    in a 3D grid among mixed-exponent prisms and in a planar grid with a prism."""
+    if planar_z is None:
+        grid = build_grid(random_env(np.random.default_rng(11)), 7.0, margin=1.0)
+    else:
+        grid = build_grid(env_with([Prism(Vec3(50, 50, 50), (20, 12, 50), (4, 4, 4))]),
+                          5.0, planar_z=planar_z)
+    assert 0 < grid.edge_ok.sum() < grid.edge_ok.size
+    for flat in range(grid.node_count):
+        assert list(grid.neighbors(flat)) == reference_neighbors(grid, flat)
+
+
+def test_build_grid_is_independent_of_the_block_size(monkeypatch):
+    """Blocks of 7 rows split the candidate edges of one offset across calls
+    and gather several offsets into one; every array matches the default."""
+    env = random_env(np.random.default_rng(4))
+    want = build_grid(env, 9.0)
+    monkeypatch.setattr("solarnav.grid.SEGMENT_BLOCK", 7)
+    got = build_grid(env, 9.0)
+    assert 0 < want.shadow.sum() < want.edge_ok.sum() < want.edge_ok.size
+    for name in ("free", "edge_ok", "shadow"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+@pytest.mark.parametrize("name", ["free", "edge_ok", "shadow", "e_out", "duration",
+                                  "length", "lit_gain"])
+def test_grid_arrays_are_read_only(name):
+    """neighbors reads a snapshot of edge_ok, so a write to any grid array raises."""
+    grid = build_grid(env_with([Prism(Vec3(50, 50, 50), (20, 20, 50), (4, 4, 4))]), 10.0)
+    table = getattr(grid, name)
+    with pytest.raises(ValueError, match="read-only"):
+        table.flat[0] = table.flat[0]
 
 
 def test_fully_occupied_world_raises():

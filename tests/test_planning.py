@@ -25,6 +25,21 @@ from oracles import dijkstra_oracle, reference_battery_search
 BIG_BATTERY = BatteryState(1e9, 1e9, 0.0)
 
 
+@pytest.mark.parametrize("planar_z", [None, 60.3])
+def test_euclid_heuristic_equals_scalar_expression(planar_z):
+    """The tabulated heuristic equals rate * math.sqrt(dx*dx + dy*dy + dz*dz)
+    on node coordinates bit for bit, at every node, for several goals."""
+    grid = build_grid(random_env(np.random.default_rng(5)), 6.7, planar_z=planar_z)
+    coords = [grid.node_xyz(n) for n in range(grid.node_count)]
+    for goal, rate in ((0, 1.0), (grid.node_count // 3, 1.0 / _max_edge_speed(grid)),
+                       (grid.node_count - 1, 0.37)):
+        h = _euclid_heuristic(grid, goal, rate)
+        gx, gy, gz = coords[goal]
+        for n, (x, y, z) in enumerate(coords):
+            dx, dy, dz = x - gx, y - gy, z - gz
+            assert h(n) == rate * math.sqrt(dx * dx + dy * dy + dz * dz)
+
+
 def distances_to_goal(grid, goal_flat, cost_fn):
     """Test-local Dijkstra over the reversed graph: exact cost-to-goal table."""
     dist = {goal_flat: 0.0}

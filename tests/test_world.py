@@ -3,18 +3,20 @@
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from solarnav import (Box, Environment, Prism, SunModel, Vec3, gamma, in_shadow,
-                      is_collision, segment_blocked)
+                      is_collision, segment_blocked, segments_blocked, world)
 from solarnav.world import prism_clearance
 
 from conftest import empty_env, env_with, random_env
-from oracles import raymarch_segment_blocked, reference_prism_clearance
+from oracles import (raymarch_segment_blocked, reference_prism_clearance,
+                     reference_segments_blocked)
 
 CUBE = Prism(Vec3(0, 0, 0), (10, 10, 10), (1, 1, 1))
 
@@ -148,6 +150,89 @@ def test_segment_agrees_with_raymarch_oracle():
                 # analytic-blocked-but-march-clear within tolerance may differ.
                 mismatches += 1
     assert mismatches <= 2, f"{mismatches} oracle disagreements out of 10000"
+
+
+@st.composite
+def segment_batches(draw):
+    """An environment of 1 to 3 prisms, lattice-aligned or not, and a batch of
+    segments: free, lattice-aligned, axis-parallel, ending on or an ulp from a
+    prism's AABB face, or starting far away along one axis."""
+    integral = draw(st.booleans())
+    coord = (st.integers(0, 140).map(float) if integral
+             else st.floats(0.0, 140.0, allow_nan=False))
+    prisms = []
+    for _ in range(draw(st.integers(1, 3))):
+        center = [draw(st.integers(30, 110) if integral else st.floats(30.0, 110.0))
+                  for _ in range(3)]
+        axes = [draw(st.integers(4, 25) if integral else st.floats(4.0, 25.0))
+                for _ in range(3)]
+        prisms.append(Prism(Vec3(*map(float, center)), tuple(map(float, axes)),
+                            draw(st.sampled_from([(1, 1, 1), (2, 2, 2), (4, 4, 4),
+                                                  (2, 1, 3)]))))
+    env = Environment(bounds=Box(Vec3(0, 0, 0), Vec3(140, 140, 140)),
+                      known_obstacles=tuple(prisms), sun=SunModel(Vec3(70, 70, 2000)))
+
+    def point():
+        return [draw(coord) for _ in range(3)]
+
+    def on_face(p):
+        """p moved onto, or an ulp off, a face of a prism's AABB; half the
+        time on the line through the prism's center normal to that face."""
+        prism = draw(st.sampled_from(prisms))
+        lo, hi = prism.aabb()
+        axis = draw(st.integers(0, 2))
+        if draw(st.booleans()):
+            p = prism.center.as_tuple()
+        p = list(p)
+        face = draw(st.sampled_from([lo[axis], hi[axis]]))
+        p[axis] = float(np.nextafter(face, draw(st.sampled_from([-np.inf, np.inf]))))
+        if draw(st.booleans()):
+            p[axis] = float(face)
+        return p, axis
+
+    starts, ends = [], []
+    for _ in range(draw(st.integers(1, 40))):
+        kind = draw(st.sampled_from(["free", "axis", "face", "far"]))
+        a, b = point(), point()
+        if kind == "axis":
+            axis = draw(st.integers(0, 2))
+            b = list(a)
+            b[axis] = draw(coord)
+        elif kind == "face":
+            b, _ = on_face(b if draw(st.booleans()) else a)
+        elif kind == "far":
+            b, axis = on_face(b)
+            a = list(b)
+            a[axis] = draw(st.sampled_from([-1e6, 1e6, -3e9, 3e9]))
+        if draw(st.booleans()):
+            a, b = b, a
+        starts.append(a)
+        ends.append(b)
+    return env, np.array(starts), np.array(ends)
+
+
+# A segment from x = -1e6 to the face x = 40 of this prism, or an ulp either
+# side of it, touches the face once `end - start` rounds: the reference finds
+# all three blocked, so the broad phase's pad must keep them.
+FAR_FACE = Environment(bounds=Box(Vec3(-2e6, -100, -100), Vec3(100, 100, 100)),
+                       known_obstacles=(Prism(Vec3(50, 0, 0), (10, 10, 10), (2, 2, 2)),),
+                       sun=SunModel(Vec3(0, 0, 1e4)))
+
+
+@given(segment_batches())
+@example((FAR_FACE, np.array([[-1e6, 0.0, 0.0]] * 3),
+          np.array([[x, 0.0, 0.0] for x in (40.0, np.nextafter(40.0, 0.0),
+                                             np.nextafter(40.0, 50.0))])))
+@settings(max_examples=400, deadline=None)
+def test_segments_blocked_equals_reference(batch):
+    """The broad phase and the row blocks change no verdict: equal to the
+    one-pass reference, with the default block and with blocks of 7 rows."""
+    env, starts, ends = batch
+    with np.errstate(over="ignore"):  # the slab quotients of near-zero directions
+        want = reference_segments_blocked(env, starts, ends)
+    assert np.array_equal(segments_blocked(env, starts, ends), want)
+    with mock.patch.object(world, "SEGMENT_BLOCK", 7):
+        assert np.array_equal(segments_blocked(env, starts, ends), want)
 
 
 def test_shadow_false_without_obstacles():
