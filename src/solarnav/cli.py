@@ -1,5 +1,8 @@
 """Command-line entry points: plan, simulate and compare.
 
+`plan` and `compare` run every planner through `_planned`, so a compare row
+is its planner's `plan` metrics; each command builds at most one grid.
+
 Exit codes: 0 success, 1 domain failure (no path, collision, depletion),
 2 usage or scenario-parse errors. Set SOLARNAV_LOG=debug for event traces."""
 
@@ -16,8 +19,7 @@ from . import __version__
 from .grid import EmptyGrid, build_grid  # noqa: F401
 from .planning import NoPath, NodeInObstacle, \
     plan_energy_efficient, plan_shortest, plan_time_efficient  # noqa: F401
-from .privacy import DpBudgetExceeded, Unreachable, default_t_max, plan_privacy_dp, \
-    total_privacy_risk
+from .privacy import DpBudgetExceeded, Unreachable, plan_privacy_dp, total_privacy_risk
 from .reporting import plan_summary, report_text, write_plan_csv, write_privacy_csv, \
     write_report, write_trajectory_csv
 from .scenario_io import ParseError, ValidationError, load_scenario, scenario_digest
@@ -25,10 +27,6 @@ from .simulate import CONTROL_MODES, PLANNER_NAMES, PlanningFailed, run_planner,
     run_scenario, scenario_grid
 
 PLAN_ERRORS = (NoPath, NodeInObstacle, Unreachable, EmptyGrid, ValueError)
-
-
-def _debug_enabled() -> bool:
-    return os.environ.get("SOLARNAV_LOG", "").lower() in ("debug", "verbose")
 
 
 def _load(source: str):
@@ -40,16 +38,43 @@ def _load(source: str):
         raise click.UsageError(f"invalid scenario {source!r}: {exc}")
 
 
-def _plan_privacy(sc):
-    t_max = sc.privacy_t_max
-    if t_max is None:
-        t_max = default_t_max(sc.start, sc.goal, sc.limits.cruise)
+def _grid(sc, names):
+    """The scenario's grid if `names` holds a grid planner, else None; a
+    failed build returns its error, for each grid planner to raise."""
+    if all(n == "privacy" for n in names):
+        return None
     try:
-        return plan_privacy_dp(sc.env, sc.start, sc.goal, sc.privacy_m_layers,
-                               t_max, sc.limits.cruise, pitch=sc.privacy_pitch,
-                               planar=sc.planar_z is not None)
-    except DpBudgetExceeded as exc:  # a scenario error, raised before any table exists
-        raise click.UsageError(f"invalid scenario {sc.name!r}: privacy.pitch: {exc}")
+        return scenario_grid(sc)
+    except PLAN_ERRORS as exc:
+        return exc
+
+
+def _planned(sc, name: str, grid):
+    """Run planner `name`: (result, report row, CSV writer of the result).
+    Raises a PLAN_ERRORS error when the planner, or the grid, failed."""
+    if name == "privacy":
+        try:
+            result = plan_privacy_dp(sc.env, sc.start, sc.goal, sc.privacy_m_layers,
+                                     sc.privacy_horizon, sc.limits.cruise,
+                                     pitch=sc.privacy_pitch, planar=sc.planar_z is not None)
+        except DpBudgetExceeded as exc:  # a scenario error, raised before any table exists
+            raise click.UsageError(f"invalid scenario {sc.name!r}: privacy.pitch: {exc}")
+        row = {"total_time_s": result.t_f, "risk": result.risk,
+               "risk_integral": total_privacy_risk(result.sampled(8), sc.env.privacy_regions),
+               "waypoints": len(result.trajectory)}
+        return result, row, write_privacy_csv
+    if isinstance(grid, Exception):
+        raise grid
+    result = run_planner(sc, name, grid, sc.start, sc.battery)
+    return result, plan_summary(result, sc), write_plan_csv
+
+
+def _emit(sc, path: Optional[str], **body) -> None:
+    """Write the scenario's report to `path`, if given, and echo it."""
+    payload = {"scenario": sc.name, "digest": scenario_digest(sc), **body}
+    if path:
+        write_report(payload, path)
+    click.echo(report_text(payload), nl=False)
 
 
 @click.group()
@@ -72,28 +97,13 @@ def plan(scenario: str, planner: str, output: Optional[str],
     """Plan a path with the selected planner and export it."""
     sc = _load(scenario)
     try:
-        result = (_plan_privacy(sc) if planner == "privacy"
-                  else run_planner(sc, planner, scenario_grid(sc), sc.start, sc.battery))
+        result, row, write_csv = _planned(sc, planner, _grid(sc, [planner]))
     except PLAN_ERRORS as exc:
         click.echo(f"planning failed: {exc}", err=True)
         sys.exit(1)
-    if planner == "privacy":
-        summary = {"total_time_s": result.t_f,
-                   "risk": result.risk,
-                   "risk_integral": total_privacy_risk(
-                       result.sampled(8), sc.env.privacy_regions),
-                   "waypoints": len(result.trajectory)}
-        if output:
-            write_privacy_csv(result, output)
-    else:
-        summary = plan_summary(result, sc)
-        if output:
-            write_plan_csv(result, sc, output)
-    payload = {"scenario": sc.name, "digest": scenario_digest(sc),
-               "planner": planner, "metrics": summary}
-    if report:
-        write_report(payload, report)
-    click.echo(report_text(payload), nl=False)
+    if output:
+        write_csv(result, sc, output)
+    _emit(sc, report, planner=planner, metrics=row)
 
 
 @main.command()
@@ -114,17 +124,13 @@ def simulate(scenario: str, mode: str, replan: bool, output: Optional[str],
     except PlanningFailed as exc:
         click.echo(f"planning failed: {exc}", err=True)
         sys.exit(1)
-    if _debug_enabled():
+    if os.environ.get("SOLARNAV_LOG", "").lower() in ("debug", "verbose"):
         for event in log.events:
             click.echo(f"# t={event.t:.2f} {event.kind} {event.detail}".rstrip(),
                        err=True)
     if output:
         write_trajectory_csv(log, output)
-    payload = {"scenario": sc.name, "digest": scenario_digest(sc), "mode": mode,
-               "metrics": metrics.as_dict()}
-    if report:
-        write_report(payload, report)
-    click.echo(report_text(payload), nl=False)
+    _emit(sc, report, mode=mode, metrics=metrics.as_dict())
     if metrics.collision or metrics.terminal == "battery_depleted":
         sys.exit(1)
 
@@ -144,35 +150,15 @@ def compare(scenario: str, planners: str, output: Optional[str]) -> None:
         if n not in PLANNER_NAMES:
             raise click.UsageError(f"unknown planner {n!r}")
     sc = _load(scenario)
-    grid = grid_error = None
-    if any(n != "privacy" for n in names):
-        try:
-            grid = scenario_grid(sc)
-        except (EmptyGrid, ValueError) as exc:
-            grid_error = exc
+    grid = _grid(sc, names)
     rows = {}
-    failures = 0
     for n in names:
         try:
-            if n == "privacy":
-                result = _plan_privacy(sc)
-            elif grid_error is not None:
-                raise grid_error
-            else:
-                result = run_planner(sc, n, grid, sc.start, sc.battery)
+            rows[n] = _planned(sc, n, grid)[1]
         except PLAN_ERRORS as exc:
             rows[n] = {"error": str(exc)}
-            failures += 1
-            continue
-        if n == "privacy":
-            rows[n] = {"total_time_s": result.t_f, "risk": result.risk}
-        else:
-            rows[n] = plan_summary(result, sc)
-    payload = {"scenario": sc.name, "digest": scenario_digest(sc), "planners": rows}
-    if output:
-        write_report(payload, output)
-    click.echo(report_text(payload), nl=False)
-    if failures == len(names):
+    _emit(sc, output, planners=rows)
+    if all("error" in row for row in rows.values()):
         sys.exit(1)
 
 

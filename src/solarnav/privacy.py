@@ -140,11 +140,6 @@ def _stage_costs(pa: np.ndarray, pb: np.ndarray, regions: Sequence[PrivacyRegion
     return total * delta / STAGE_SAMPLES
 
 
-def default_t_max(p0: Vec3, pf: Vec3, v_max: float) -> float:
-    """Horizon used when a scenario gives none: twice the straight-line time."""
-    return 2.0 * p0.dist_to(pf) / v_max
-
-
 def _reach_box(center: np.ndarray, dims: np.ndarray,
                m_layers: int) -> Tuple[np.ndarray, np.ndarray]:
     """Index bounds [lo, hi) of the lattice nodes within m_layers Chebyshev

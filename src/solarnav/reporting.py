@@ -71,11 +71,12 @@ def write_plan_csv(plan: Path, sc: Scenario, path: str) -> None:
     _write_rows(plan_csv_rows(plan, sc), path)
 
 
-def write_privacy_csv(plan: PrivacyPlan, path: str) -> None:
+def write_privacy_csv(plan: PrivacyPlan, sc: Scenario, path: str) -> None:
     """Waypoint rows of a privacy DP trajectory. The DP tracks no heading,
-    speed, battery, shadow or clearance: those columns read 0, and inf for
-    min_dist."""
-    _write_rows([_row(t, p.x, p.y, p.z, 0.0, 0.0, 0.0, 0.0, False, "plan", math.inf)
+    speed, battery use or shadow: those columns read 0, and battery the
+    scenario's initial charge, as for a plan without a battery profile."""
+    _write_rows([_row(t, p.x, p.y, p.z, 0.0, 0.0, 0.0, sc.battery.energy, False, "plan",
+                      min_separation(sc.env, sc.unknown_obstacles, p))
                  for t, p in plan.trajectory], path)
 
 

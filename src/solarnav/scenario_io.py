@@ -15,7 +15,7 @@ from .control import AvoidanceParams, ControlLimits
 from .energy import BatteryState, ConsumptionParams, EnergyModel, HarvestModel, \
     HarvestParams
 from .grid import lattice_dims
-from .privacy import default_t_max, dp_lattice_dims
+from .privacy import dp_lattice_dims
 from .simulate import MAX_SIM_STEPS, PLANNER_NAMES, MovingObstacle, Scenario
 from .world import Box, Environment, Prism, PrivacyRegion, SunModel, ValidationError, Vec3
 
@@ -101,7 +101,17 @@ def _fields(cls) -> Dict[str, tuple]:
     return {f.name: (_real, f.default) for f in fields(cls)}
 
 
-_DEGREES = ("alpha_safe", "threshold", "align_tolerance")  # also given as `<name>_deg`
+def _degrees(raw: Any, where: str, below: Optional[float] = None) -> float:
+    """`raw` degrees as radians; with `below`, they must lie in (0, below)."""
+    value = math.radians(_real(raw, where))
+    if below is not None and not 0 < value < math.radians(below):
+        raise ValidationError(where, f"must lie in (0, {below:g}) degrees, got {raw!r}")
+    return value
+
+
+# Fields also given in degrees as `<name>_deg`: {field: the upper end of the
+# open degree range its dataclass check allows, or None without a check}.
+_DEGREES = {"alpha_safe": 90.0, "threshold": None, "align_tolerance": None}
 _ORIGIN = [0, 0, 0]
 
 # Each mapping's keys as {key: (reader, default)}. A reader is a converter
@@ -130,8 +140,8 @@ SPEC = {
                  "floor": (_nonnegative, 50.0)}, {}),
     "limits": (_fields(ControlLimits), {}),
     "avoidance": ({**_fields(AvoidanceParams), **{
-        key + "_deg": (_optional(lambda raw, where: math.radians(_real(raw, where))), None)
-        for key in _DEGREES}}, {}),
+        key + "_deg": (_optional(partial(_degrees, below=below)), None)
+        for key, below in _DEGREES.items()}}, {}),
     "unknown_obstacles": ([{"center": (_vec, ()), "radius": (_nonnegative, 0.0),
                             "velocity": (_vec, _ORIGIN)}], []),
     "mission": ({"start": (_vec, ()), "goal": (_vec, ()), "planner": (_planner, "energy"),
@@ -171,14 +181,12 @@ def _section(raw: Any, where: str, spec: Dict[str, tuple]) -> Dict[str, Any]:
     return out
 
 
-def _build(cls, where: str, given: Optional[Dict[str, str]] = None, **kwargs):
-    """`cls(**kwargs)`, its errors at `where`, or at the field they name; a
-    field read from another key is named by that key, `given[field]`."""
+def _build(cls, where: str, **kwargs):
+    """`cls(**kwargs)`, its errors at `where`, or at the field they name."""
     try:
         return cls(**kwargs)
     except ValidationError as exc:
-        field = (given or {}).get(exc.field, exc.field)
-        raise ValidationError(f"{where}.{field}", exc.reason) from exc
+        raise ValidationError(f"{where}.{exc.field}", exc.reason) from exc
     except (ValueError, OverflowError) as exc:  # OverflowError: a huge prism exponent
         raise ValidationError(where, str(exc)) from exc
 
@@ -227,9 +235,8 @@ def scenario_from_dict(data: Dict[str, Any]) -> Scenario:
     battery = _build(BatteryState, "battery", capacity=battery["capacity"], energy=initial,
                      floor=battery["floor"])
     avoidance = doc["avoidance"]
-    degrees = {key: avoidance.pop(key + "_deg") for key in _DEGREES}
-    degrees = {key: v for key, v in degrees.items() if v is not None}
-    avoidance.update(degrees)
+    aliases = {key: avoidance.pop(key + "_deg") for key in _DEGREES}
+    avoidance.update({key: v for key, v in aliases.items() if v is not None})
     obstacles = [_build(MovingObstacle, f"unknown_obstacles[{i}]", **o)
                  for i, o in enumerate(doc["unknown_obstacles"])]
 
@@ -239,8 +246,7 @@ def scenario_from_dict(data: Dict[str, Any]) -> Scenario:
                                         f"the budget of {MAX_SIM_STEPS}")
     sc = _build(Scenario, "scenario", env=env, energy=energy, battery=battery,
                 limits=_build(ControlLimits, "limits", **doc["limits"]),
-                avoidance=_build(AvoidanceParams, "avoidance",
-                                 {key: key + "_deg" for key in degrees}, **avoidance),
+                avoidance=_build(AvoidanceParams, "avoidance", **avoidance),
                 unknown_obstacles=tuple(obstacles), dt=sim["dt"],
                 max_duration=sim["max_duration"], arrival_radius=sim["arrival_radius"],
                 name=doc["name"], privacy_m_layers=privacy["m_layers"],
@@ -250,16 +256,14 @@ def scenario_from_dict(data: Dict[str, Any]) -> Scenario:
     except (ValueError, OverflowError) as exc:  # OverflowError: an axis past float range
         raise ValidationError("mission.grid_resolution", str(exc)) from exc
     # The default lattice follows the mission length, so only the DP checks it.
-    t_max, pitch = sc.privacy_t_max, sc.privacy_pitch
-    if t_max is not None or pitch is not None:
-        horizon = t_max if t_max is not None else default_t_max(sc.start, sc.goal,
-                                                                sc.limits.cruise)
-        if horizon > 0:  # a start on the goal has no default horizon and no lattice
-            try:
-                dp_lattice_dims(env, sc.goal, sc.privacy_m_layers, horizon, sc.limits.cruise,
-                                pitch, sc.planar_z is not None)
-            except ValueError as exc:
-                raise ValidationError("privacy.pitch", str(exc)) from exc
+    # A start on the goal has no default horizon and no lattice.
+    if (sc.privacy_t_max is not None or sc.privacy_pitch is not None) \
+            and sc.privacy_horizon > 0:
+        try:
+            dp_lattice_dims(env, sc.goal, sc.privacy_m_layers, sc.privacy_horizon,
+                            sc.limits.cruise, sc.privacy_pitch, sc.planar_z is not None)
+        except ValueError as exc:
+            raise ValidationError("privacy.pitch", str(exc)) from exc
     return sc
 
 

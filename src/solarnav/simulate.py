@@ -96,6 +96,13 @@ class Scenario:
     def goal_radius(self) -> float:
         return self.arrival_radius if self.arrival_radius is not None else self.grid_resolution
 
+    @property
+    def privacy_horizon(self) -> float:
+        """`privacy_t_max`, or else twice the straight-line time at cruise."""
+        if self.privacy_t_max is not None:
+            return self.privacy_t_max
+        return 2.0 * self.start.dist_to(self.goal) / self.limits.cruise
+
 
 @dataclass(frozen=True)
 class StepRecord:
@@ -195,17 +202,18 @@ def shadowed_at(env: Environment, p: Vec3, t: float,
 
 def min_separation(env: Environment, obstacles: Sequence[MovingObstacle],
                    p: Vec3) -> float:
-    """Smallest clearance to any prism or sphere surface or the world limits.
+    """Smallest clearance to any prism or sphere surface, or inf without any.
 
-    Positive exactly when the position is collision-free, matching the
-    collision flag for every terminal cause including a bounds exit."""
+    The bounds and the altitude band are closed: a margin to them counts only
+    when negative, outside them. Positive exactly when the position is
+    collision-free, matching the collision flag for every terminal cause."""
     lo, hi = env.bounds.lo, env.bounds.hi
-    # An unbounded altitude band leaves infinite margins, which never win.
-    margins = [p.x - lo.x, hi.x - p.x, p.y - lo.y, hi.y - p.y, p.z - lo.z, hi.z - p.z,
-               p.z - env.z_min, env.z_max - p.z]
+    wall = min(p.x - lo.x, hi.x - p.x, p.y - lo.y, hi.y - p.y, p.z - lo.z, hi.z - p.z,
+               p.z - env.z_min, env.z_max - p.z)
+    margins = [wall] if wall < 0 else []
     margins += [prism_clearance(p, prism) for prism in env.known_obstacles]
     margins += [p.dist_to(o.center) - o.radius for o in obstacles]
-    return min(margins)
+    return min(margins, default=math.inf)
 
 
 def scenario_grid(sc: Scenario) -> NavGrid:

@@ -283,7 +283,7 @@ def _clip_to_aabb(starts: np.ndarray, dirs: np.ndarray,
         # Parallel to the slab: inside-or-miss decides validity outright.
         miss = near_zero & ((s < lo[axis]) | (s > hi[axis]))
         valid &= ~miss
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             ta = (lo[axis] - s) / d
             tb = (hi[axis] - s) / d
         lo_t = np.where(near_zero, 0.0, np.minimum(ta, tb))

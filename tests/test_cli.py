@@ -11,6 +11,7 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from solarnav import Vec3, min_separation
 from solarnav.cli import main
 from solarnav.scenario_io import (SPEC, ParseError, ValidationError, load_scenario,
                                   load_scenario_file, save_scenario, scenario_digest,
@@ -141,6 +142,20 @@ def test_plan_rejects_bad_grid_parameters(tmp_path, field, value):
     result = CliRunner().invoke(main, ["plan", "-s", path])
     assert result.exit_code == 2, result.output
     assert field in result.output
+
+
+@pytest.mark.parametrize("field, value, rule", [
+    ("avoidance.alpha_safe_deg", 95, "must lie in (0, 90) degrees, got 95"),
+    ("avoidance.alpha_safe_deg", 0, "must lie in (0, 90) degrees, got 0"),
+    ("avoidance.alpha_safe", 2, "must lie in (0, pi/2)")])
+def test_angle_bound_is_stated_in_the_unit_given(tmp_path, field, value, rule):
+    """The degree alias states its bound in degrees, the radian field in
+    radians."""
+    doc = yaml.safe_load(MINIMAL)
+    doc["avoidance"] = {field.split(".")[1]: value}
+    result = CliRunner().invoke(main, ["plan", "-s", write(tmp_path, yaml.safe_dump(doc))])
+    assert result.exit_code == 2, result.output
+    assert f"{field}: {rule}" in result.output
 
 
 @pytest.mark.parametrize("field, value", [
@@ -430,19 +445,51 @@ def test_plan_failure_exits_one(tmp_path):
     assert "planning failed" in result.output
 
 
-def test_plan_privacy_planner(tmp_path):
+def private_city(tmp_path) -> str:
+    """MINIMAL, planar at 60 m, with a tower and a privacy region beside the
+    straight line."""
     doc = yaml.safe_load(MINIMAL)
-    doc["world"]["privacy_regions"] = [{"center": [100, 112, 60],
-                                        "c1": 6.0, "c2": 35.0}]
+    doc["world"]["prisms"] = [{"center": [100, 65, 60], "semi_axes": [20, 20, 60],
+                               "exponents": [4, 4, 4]}]
+    doc["world"]["privacy_regions"] = [{"center": [100, 112, 60], "c1": 6.0, "c2": 35.0}]
     doc["mission"]["planar_z"] = 60.0
     doc["privacy"] = {"m_layers": 12, "t_max": 32.0}
-    path = write(tmp_path, yaml.safe_dump(doc))
+    return write(tmp_path, yaml.safe_dump(doc))
+
+
+def test_compare_row_equals_plan_metrics(tmp_path):
+    """Each planner's compare row is its `plan` metrics, privacy included."""
+    path = private_city(tmp_path)
+    names = ["energy", "time", "shortest", "privacy"]
+    runner = CliRunner()
+    result = runner.invoke(main, ["compare", "-s", path, "-p", ",".join(names)])
+    assert result.exit_code == 0, result.output
+    rows = yaml.safe_load(result.output)["planners"]
+    assert list(rows) == sorted(names) and not any("error" in r for r in rows.values())
+    for name in names:
+        result = runner.invoke(main, ["plan", "-s", path, "-p", name])
+        assert result.exit_code == 0, result.output
+        assert rows[name] == yaml.safe_load(result.output)["metrics"], name
+
+
+def test_plan_privacy_planner(tmp_path):
+    """The DP's CSV holds the initial charge, as a plan without a battery
+    profile does, and each waypoint's clearance, as a plan CSV does."""
+    path = private_city(tmp_path)
     out = tmp_path / "dp.csv"
     result = CliRunner().invoke(main, ["plan", "-s", path, "-p", "privacy",
                                        "-o", str(out)])
     assert result.exit_code == 0, result.output
     assert "risk" in result.output
-    assert out.read_text().startswith("t,x,y,z")
+    sc = load_scenario_file(path)
+    header, *rows = out.read_text().splitlines()
+    assert header == "t,x,y,z,theta,v,u,battery,shadow,mode,min_dist"
+    for row in rows:
+        cells = row.split(",")
+        battery, min_dist = float(cells[7]), float(cells[10])
+        want = min_separation(sc.env, sc.unknown_obstacles, Vec3(*map(float, cells[1:4])))
+        assert battery == sc.battery.energy
+        assert 0.0 < min_dist < math.inf and min_dist == pytest.approx(want, rel=1e-8)
 
 
 def test_plan_energy_cheaper_than_shortest_reports(tmp_path):

@@ -239,17 +239,22 @@ def test_metrics_single_record_log():
 
 def test_min_separation_sign_matches_collision_flag():
     """Separation is positive exactly where no collision is declared,
-    including positions outside the bounds or altitude band."""
+    including positions outside the bounds or altitude band and positions on
+    their closed faces, the band floor (z = 40) and the bounds walls."""
     sc = open_world_scenario(obstacles=[MovingObstacle(Vec3(220, 120, 100), 10.0)])
     from solarnav import is_collision, min_separation
     probes = [Vec3(220, 120, 100), Vec3(100, 120, 100), Vec3(-5, 120, 100),
-              Vec3(100, 120, 10), Vec3(227, 120, 100), Vec3(235, 120, 100)]
+              Vec3(100, 120, 10), Vec3(227, 120, 100), Vec3(235, 120, 100),
+              Vec3(100, 120, 40), Vec3(0, 120, 100), Vec3(440, 240, 100),
+              Vec3(100, 0, 200), Vec3(100, 120, 39.999)]
     for p in probes:
         sep = min_separation(sc.env, sc.unknown_obstacles, p)
         collided = (is_collision(p, sc.env)
                     or any(p.dist_to(o.center) <= o.radius
                            for o in sc.unknown_obstacles))
         assert (sep > 0.0) == (not collided), (p, sep, collided)
+    # No prism or sphere and inside the closed limits: nothing is near.
+    assert min_separation(sc.env, (), Vec3(100, 120, 40)) == math.inf
 
 
 def test_min_separation_negative_inside_near_prism_center():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -233,6 +234,17 @@ def test_segments_blocked_equals_reference(batch):
     assert np.array_equal(segments_blocked(env, starts, ends), want)
     with mock.patch.object(world, "SEGMENT_BLOCK", 7):
         assert np.array_equal(segments_blocked(env, starts, ends), want)
+
+
+def test_clip_to_aabb_quiet_on_overflowing_slab_quotient():
+    """A direction component just above the near-zero cutoff overflows the
+    slab quotient to inf; the clip still misses, without a warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        t0, t1, valid = world._clip_to_aabb(np.array([[0.0, -1e9, 0.0]]),
+                                            np.array([[1.0, 1e-300, 0.0]]),
+                                            np.zeros(3), np.full(3, 10.0))
+    assert not valid[0] and t0[0] == math.inf and t1[0] == 1.0
 
 
 def test_shadow_false_without_obstacles():
