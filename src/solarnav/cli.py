@@ -146,9 +146,11 @@ def compare(scenario: str, planners: str, output: Optional[str]) -> None:
     names = [n.strip() for n in planners.split(",") if n.strip()]
     if len(names) < 2:
         raise click.UsageError("compare requires at least two planners")
-    for n in names:
+    for i, n in enumerate(names):
         if n not in PLANNER_NAMES:
             raise click.UsageError(f"unknown planner {n!r}")
+        if n in names[:i]:
+            raise click.UsageError(f"planner {n!r} is named twice")
     sc = _load(scenario)
     grid = _grid(sc, names)
     rows = {}

@@ -107,11 +107,15 @@ def _lattice_offsets(planar: bool) -> np.ndarray:
     return np.vstack([np.zeros((1, 3), dtype=int), _offsets(planar)])
 
 
-def _clear_moves(env: Environment, pred: np.ndarray, pa: np.ndarray,
-                 pb: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The rows of the moves pa -> pb (distinct points) whose segment keeps
-    out of every c1 core and clears every prism: a vector core test, then one
-    scalar segment test per move that passed it."""
+def _clear_moves(env: Environment, pred: np.ndarray, succ: np.ndarray, points: np.ndarray,
+                 verdicts: Dict[Tuple[int, int], bool]) -> np.ndarray:
+    """Which moves pred -> succ (distinct rows of `points`) keep their
+    segment out of every c1 core and clear of every prism: a vector core
+    test, then one scalar segment test per undirected segment that passed
+    it. `verdicts` maps a segment's (lower, higher) row pair to whether it
+    is blocked, tested from the lower row; one plan shares it across its
+    move columns, so a move and its reverse cost one test."""
+    pa, pb = points[pred], points[succ]
     ab = pb - pa
     denom = ab[:, 0] * ab[:, 0] + ab[:, 1] * ab[:, 1] + ab[:, 2] * ab[:, 2]
     ok = np.ones(len(pred), dtype=bool)
@@ -121,10 +125,15 @@ def _clear_moves(env: Environment, pred: np.ndarray, pa: np.ndarray,
                     0.0, 1.0)
         ok &= _distances(pa + t[:, None] * ab, r.center) > r.c1
     if env.known_obstacles:
-        for row in np.flatnonzero(ok):
-            ok[row] = not segment_blocked(env, Vec3.from_array(pa[row]),
-                                          Vec3.from_array(pb[row]))
-    return pred[ok], pa[ok], pb[ok]
+        ends = np.sort(np.stack((pred, succ), axis=1), axis=1).tolist()
+        for row in np.flatnonzero(ok).tolist():
+            i, j = ends[row]
+            blocked = verdicts.get((i, j))
+            if blocked is None:
+                blocked = verdicts[i, j] = segment_blocked(env, Vec3.from_array(points[i]),
+                                                           Vec3.from_array(points[j]))
+            ok[row] = not blocked
+    return ok
 
 
 def _stage_costs(pa: np.ndarray, pb: np.ndarray, regions: Sequence[PrivacyRegion],
@@ -246,15 +255,15 @@ def plan_privacy_dp(env: Environment, p0: Vec3, pf: Vec3, m_layers: int,
     box_delta = offsets @ np.array([box[1] * box[2], box[2], 1])
     succ = np.full((n_nodes, len(ks)), n_nodes)        # n_nodes: no move, V = inf
     cost = np.zeros((n_nodes, len(ks)))
+    verdicts: Dict[Tuple[int, int], bool] = {}
     for j, k in enumerate(ks):
         q_idx = idx + offsets[k]
         pred = np.flatnonzero(node_ok & np.all((q_idx >= box_lo) & (q_idx < box_hi), axis=1))
         pred = pred[into_ok[pred + box_delta[k]]]
-        pa, pb = points[pred], points[pred + box_delta[k]]
         if k != 0:
-            pred, pa, pb = _clear_moves(env, pred, pa, pb)
+            pred = pred[_clear_moves(env, pred, pred + box_delta[k], points, verdicts)]
         succ[pred, j] = pred + box_delta[k]
-        cost[pred, j] = _stage_costs(pa, pb, regions, delta)
+        cost[pred, j] = _stage_costs(points[pred], points[pred + box_delta[k]], regions, delta)
 
     values: List[Dict[int, float]] = [dict() for _ in range(m_layers + 1)]
     moves: List[Dict[int, int]] = [dict() for _ in range(m_layers + 1)]

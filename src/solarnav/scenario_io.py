@@ -20,6 +20,11 @@ from .simulate import MAX_SIM_STEPS, PLANNER_NAMES, MovingObstacle, Scenario
 from .world import Box, Environment, Prism, PrivacyRegion, SunModel, ValidationError, Vec3
 
 
+# libyaml's parser when PyYAML was built with it: the constructor and the
+# resolver are the pure-Python loader's, so the documents load the same.
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 class ParseError(Exception):
     """Scenario file could not be parsed; carries the offending line."""
 
@@ -321,10 +326,13 @@ def load_scenario_file(path: str) -> Scenario:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
-        data = yaml.safe_load(text)
+        data = yaml.load(text, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
-        raise ParseError(mark.line + 1 if mark else None, str(exc)) from exc
+        # libyaml marks the end of a text without a final newline on the line
+        # after its last; the pure-Python loader marks the last line.
+        line = min(mark.line + 1, text.count("\n") + 1) if mark else None
+        raise ParseError(line, str(exc)) from exc
     if data is None:
         data = {}
     return scenario_from_dict(data)

@@ -14,6 +14,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 _SEGMENT_REFINE_ITERS = 48  # ternary-search iterations; (2/3)^48 ~ 3e-9 of the clip span
+_EXIT_CHECKS = (1, 4)  # ternary iterations after which decided rows leave the search
+_UNIT_ROUNDOFF = 2.0 ** -53
 SEGMENT_BLOCK = 65_536  # rows per pass of segments_blocked
 _AABB_PAD = 1e-9  # broad-phase pad, relative to a block's largest coordinate
 
@@ -294,14 +296,50 @@ def _clip_to_aabb(starts: np.ndarray, dirs: np.ndarray,
     return t0, t1, valid
 
 
-def _min_gamma_on_segments(starts: np.ndarray, dirs: np.ndarray, prism: Prism,
-                           t0: np.ndarray, t1: np.ndarray) -> np.ndarray:
-    """Minimum of gamma along each segment restricted to [t0, t1].
+def _sandwich_bound(ga: np.ndarray, g1: np.ndarray, g2: np.ndarray,
+                    gb: np.ndarray) -> np.ndarray:
+    """Lower bound on [a, b] of a convex function from its values at a, at
+    the thirds m1 < m2 and at b (the sandwich bounds of Burkard, Hamacher &
+    Rote 1991 and Rote 1992). Outside [m1, m2] the secant through m1 and m2
+    lies below the function; inside it both secants a-m1 and m2-b do, and
+    the least value of their maximum is the best level mix of the two."""
+    outside = np.minimum(2.0 * g1 - g2, 2.0 * g2 - g1)
+    # Across [m1, m2] the secant a-m1 runs from u0 to u1, the secant m2-b from w0 to w1.
+    u0, u1 = g1, 2.0 * g1 - ga
+    w0, w1 = 2.0 * g2 - gb, g2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lam = np.clip((w1 - w0) / ((w1 - w0) - (u1 - u0)), 0.0, 1.0)  # NaN: parallel
+    mix = np.minimum(lam * u0 + (1.0 - lam) * w0, lam * u1 + (1.0 - lam) * w1)
+    inside = np.fmax(np.fmax(np.minimum(u0, u1), np.minimum(w0, w1)), mix)
+    return np.minimum(outside, inside)
+
+
+def _segments_meet_prism(starts: np.ndarray, dirs: np.ndarray, prism: Prism,
+                         t0: np.ndarray, t1: np.ndarray) -> np.ndarray:
+    """Whether each segment, restricted to [t0, t1] within the prism's AABB,
+    reaches gamma <= 1.
 
     Gamma along a line is a sum of even powers of affine functions, hence
-    convex in t; ellipsoids admit a closed form and the general case uses a
-    fixed-iteration ternary search (tolerance ~1e-6 m).
-    """
+    convex in t. Ellipsoids take the closed-form minimum. Otherwise a
+    fixed-iteration ternary search (tolerance ~1e-6 m) decides at its final
+    midpoint, and after each iteration in `_EXIT_CHECKS` a row leaves it
+    early, with the same verdict, when the bracket ends and probes decide:
+    clear when `_sandwich_bound` exceeds 1 + margin, met when a probe is at
+    most 1 - margin.
+
+    The margin, (1 + g_max) * (2**14 e u (1 + R/s) + 64 u / (b - a)), with u
+    the unit roundoff, e the largest exponent, R the largest coordinate, s
+    the smallest semi-axis and g_max the largest of the four values, covers
+    rounding. Within the AABB every gamma term is at most 1. A computed value
+    is within k (1 + g) of gamma at the exact line point, k = 64 e u (1 + R/s):
+    rounding the point moves each term by at most about 10 e u R / s, and the
+    difference, quotient, square, power and sum add (6 e + 6) u relative.
+    The bound triples each value's error, and its own rounding and the uneven
+    float spacing of a, m1, m2 and b add at most 64 u g_max / (b - a). So a
+    bound above 1 + margin puts gamma above 1 + 2k over the bracket, which
+    holds the final midpoint, and the full search would find the row clear.
+    A probe at most 1 - margin lies inside; the full search keeps a point no
+    higher, up to 4k per iteration, so it ends inside too."""
     if prism.exponents == (1, 1, 1):
         # Quadratic A t^2 + B t + C with the minimum clamped into [t0, t1].
         s = np.array(prism.semi_axes, dtype=float)
@@ -313,9 +351,11 @@ def _min_gamma_on_segments(starts: np.ndarray, dirs: np.ndarray, prism: Prism,
         with np.errstate(divide="ignore", invalid="ignore"):
             t_star = np.where(qa > 0, -qb / (2.0 * np.maximum(qa, 1e-300)), t0)
         t_star = np.clip(t_star, t0, t1)
-        return qa * t_star * t_star + qb * t_star + qc
+        return qa * t_star * t_star + qb * t_star + qc <= 1.0
 
     c, s, d = _prism_arrays(prism)
+    reach = max(np.abs(starts).max(), np.abs(starts + dirs).max())
+    shape_eps = 2.0 ** 14 * _UNIT_ROUNDOFF * d.max() * (1.0 + reach / s.min())
     # One contiguous array per axis: operations on (N, 3) rows run far slower.
     p0 = [np.ascontiguousarray(col) for col in starts.T]
     v = [np.ascontiguousarray(col) for col in dirs.T]
@@ -324,15 +364,33 @@ def _min_gamma_on_segments(starts: np.ndarray, dirs: np.ndarray, prism: Prism,
         # t is (N,) or (2, N): both probes of an iteration share one pass.
         return _gamma_points([pi + t * vi for pi, vi in zip(p0, v)], c, s, d)
 
+    meets = np.zeros(len(t0), dtype=bool)
+    rows = np.arange(len(t0))  # the rows still searched
     a, b = t0.copy(), t1.copy()
-    for _ in range(_SEGMENT_REFINE_ITERS):
+    ga, gb = g_at(np.stack((a, b)))
+    for it in range(1, _SEGMENT_REFINE_ITERS + 1):
         third = (b - a) / 3.0
         m = np.stack((a + third, b - third))
         g = g_at(m)
+        if it in _EXIT_CHECKS:
+            g_max = np.maximum(np.maximum(ga, gb), np.maximum(g[0], g[1]))
+            with np.errstate(divide="ignore"):  # an empty bracket (b - a = +-0) gets no exit
+                margin = (1.0 + g_max) * (shape_eps + 64.0 * _UNIT_ROUNDOFF / np.abs(b - a))
+            inside = np.minimum(g[0], g[1]) <= 1.0 - margin
+            meets[rows[inside]] = True
+            keep = np.flatnonzero(~inside & ~(_sandwich_bound(ga, g[0], g[1], gb) > 1.0 + margin))
+            if not keep.size:
+                return meets
+            rows, a, b, ga, gb, m, g = (x[..., keep] for x in (rows, a, b, ga, gb, m, g))
+            p0, v = [x[keep] for x in p0], [x[keep] for x in v]
         left_lower = g[0] < g[1]
         np.copyto(b, m[1], where=left_lower)
         np.copyto(a, m[0], where=~left_lower)
-    return g_at((a + b) / 2.0)
+        if it < _EXIT_CHECKS[-1]:  # the end values feed only the checkpoints
+            np.copyto(gb, g[1], where=left_lower)
+            np.copyto(ga, g[0], where=~left_lower)
+    meets[rows] = g_at((a + b) / 2.0) <= 1.0
+    return meets
 
 
 def _blocked_block(prisms: Tuple[Prism, ...], starts: np.ndarray,
@@ -370,8 +428,8 @@ def _blocked_block(prisms: Tuple[Prism, ...], starts: np.ndarray,
         sub = rows[valid]
         if not sub.size:
             continue
-        min_g = _min_gamma_on_segments(starts[sub], dirs[sub], prism, t0[valid], t1[valid])
-        blocked[sub[min_g <= 1.0]] = True
+        blocked[sub[_segments_meet_prism(starts[sub], dirs[sub], prism,
+                                         t0[valid], t1[valid])]] = True
     return blocked
 
 

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from solarnav import Vec3, min_separation
+from solarnav import scenario_io
 from solarnav.cli import main
 from solarnav.scenario_io import (SPEC, ParseError, ValidationError, load_scenario,
                                   load_scenario_file, save_scenario, scenario_digest,
@@ -62,6 +63,37 @@ def test_yaml_syntax_error_reports_line(tmp_path):
     with pytest.raises(ParseError) as err:
         load_scenario_file(path)
     assert err.value.line is not None
+
+
+LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if hasattr(yaml, "CSafeLoader") else [])
+
+
+@pytest.mark.skipif(len(LOADERS) < 2, reason="PyYAML was built without libyaml")
+def test_libyaml_and_python_loaders_agree(tmp_path, monkeypatch):
+    """The scenario loader parses with libyaml when PyYAML has it. Both
+    loaders give the same Scenario for the saved presets and a hand-written
+    file, and the same ParseError line for an unclosed flow sequence, also
+    at the end of a text without a final newline (the message text may
+    differ)."""
+    paths = [write(tmp_path, MINIMAL)]
+    for name in ("section4", "section5"):
+        paths.append(str(tmp_path / f"{name}.yaml"))
+        save_scenario(load_scenario(name), paths[-1])
+    broken = [write(tmp_path, MINIMAL.replace("[180, 100, 60]", "[180, 100, 60\n  x: 1"),
+                    "broken.yaml"),
+              write(tmp_path, MINIMAL.rstrip().replace("[180, 100, 60]", "[180, 100, 60"),
+                    "unended.yaml")]
+    loaded, lines = [], []
+    for loader in LOADERS:
+        monkeypatch.setattr(scenario_io, "_YAML_LOADER", loader)
+        loaded.append([scenario_to_dict(load_scenario_file(p)) for p in paths])
+        lines.append([])
+        for path in broken:
+            with pytest.raises(ParseError) as err:
+                load_scenario_file(path)
+            lines[-1].append(err.value.line)
+    assert loaded[0] == loaded[1]
+    assert lines[0] == lines[1] == [8, 7]
 
 
 def test_roundtrip_preserves_digest(tmp_path):
@@ -536,6 +568,14 @@ def test_compare_requires_two_planners():
     result = CliRunner().invoke(main, ["compare", "-s", "section4",
                                        "-p", "energy"])
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("planners", ["energy,energy", "privacy,time,privacy"])
+def test_compare_rejects_repeated_planner(planners):
+    result = CliRunner().invoke(main, ["compare", "-s", "section4", "-p", planners])
+    assert result.exit_code == 2
+    repeated = planners.split(",")[0]
+    assert f"planner {repeated!r} is named twice" in result.output
 
 
 def test_compare_report_deterministic(tmp_path):

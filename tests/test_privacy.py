@@ -333,11 +333,12 @@ def test_dp_tie_goes_to_smallest_successor_index():
 
 
 def _moves_into_reach(prob, lat, pf_flat, m):
-    """Nodes within m steps of pf, and directed non-hold moves between
-    feasible nodes into a node within m - 1 steps of pf, by brute force."""
+    """Nodes within m steps of pf, and the undirected segments of the non-hold
+    moves between feasible nodes into a node within m - 1 steps of pf, by
+    brute force."""
     nx, ny, nz = lat.dims
     target = lat.unflatten(pf_flat)
-    nodes = moves = 0
+    nodes, segments = 0, set()
     for node in range(nx * ny * nz):
         here = lat.unflatten(node)
         nodes += max(abs(a - b) for a, b in zip(here, target)) <= m
@@ -346,8 +347,8 @@ def _moves_into_reach(prob, lat, pf_flat, m):
             if (all(0 <= c < n for c, n in zip(q, lat.dims))
                     and max(abs(a - b) for a, b in zip(q, target)) < m
                     and prob.node_feasible(node) and prob.node_feasible(lat.flat_of(*q))):
-                moves += 1
-    return nodes, moves
+                segments.add(frozenset((node, lat.flat_of(*q))))
+    return nodes, len(segments)
 
 
 def test_vector_node_test_matches_is_collision():
@@ -387,10 +388,11 @@ def test_vector_node_test_matches_is_collision():
 
 
 def test_dp_tests_each_move_segment_once(monkeypatch):
-    """The prism test runs once per directed non-hold move between feasible
-    nodes into the nodes within m_layers - 1 steps of the target, and the
-    vector node test takes each node within m_layers steps once (plus start
-    and target).
+    """The prism test runs once per undirected segment of the non-hold moves
+    between feasible nodes into the nodes within m_layers - 1 steps of the
+    target (a move and its reverse share one test, and no segment is tested
+    twice), and the vector node test takes each node within m_layers steps
+    once (plus start and target).
     Once the horizon spans the lattice, doubling it adds no test; a short
     horizon on a wide lattice tests only the target's neighbourhood."""
     prisms = (Prism(Vec3(60, 50, 20), (12.0, 25.0, 30.0), (2, 2, 2)),
@@ -412,6 +414,8 @@ def test_dp_tests_each_move_segment_once(monkeypatch):
         except Unreachable:  # the start is 6 steps from the target
             assert m < 6
         counts[m] = (len(nodes), len(segments))
+        undirected = {frozenset((a.as_tuple(), b.as_tuple())) for _, a, b in segments}
+        assert len(undirected) == len(segments)
     prob = ReferenceDpProblem(env, lat, 15.0, STAGE_SAMPLES)  # every stage lasts 2 s
     expected = {m: _moves_into_reach(prob, lat, lat.flat_of(6, 3, 0), m) for m in counts}
     assert counts == {m: (n + 2, k) for m, (n, k) in expected.items()}

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import math
 import warnings
+from fractions import Fraction
+from functools import partial
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from solarnav import (Box, Environment, Prism, SunModel, Vec3, gamma, in_shadow,
@@ -234,6 +236,150 @@ def test_segments_blocked_equals_reference(batch):
     assert np.array_equal(segments_blocked(env, starts, ends), want)
     with mock.patch.object(world, "SEGMENT_BLOCK", 7):
         assert np.array_equal(segments_blocked(env, starts, ends), want)
+
+
+GRAZING_EXPONENTS = [(2, 1, 3), (4, 4, 4), (1, 2, 2)]
+
+
+@st.composite
+def grazing_batches(draw):
+    """1 to 3 prisms with exponents (2,1,3), (4,4,4) or (1,2,2), and segments
+    tangent to one of their surfaces, or moved up to 1e-6 m along the surface
+    normal (outward or inward), through or ending at the tangent point."""
+    real = partial(st.floats, allow_nan=False, allow_infinity=False)
+    prisms = [Prism(Vec3(*(draw(real(40.0, 100.0)) for _ in range(3))),
+                    tuple(draw(real(4.0, 25.0)) for _ in range(3)),
+                    draw(st.sampled_from(GRAZING_EXPONENTS)))
+              for _ in range(draw(st.integers(1, 3)))]
+    env = Environment(bounds=Box(Vec3(0, 0, 0), Vec3(140, 140, 140)),
+                      known_obstacles=tuple(prisms), sun=SunModel(Vec3(70, 70, 2000)))
+    starts, ends = [], []
+    for _ in range(draw(st.integers(1, 20))):
+        prism = draw(st.sampled_from(prisms))
+        c, axes, exps = (np.array(x) for x in (prism.center.as_tuple(), prism.semi_axes,
+                                                 prism.exponents))
+        # A surface point: per-axis gamma terms w_i summing to 1.
+        w = np.array([draw(real(0.0, 1.0)) for _ in range(3)])
+        assume(w.sum() > 1e-3)
+        w /= w.sum()
+        signs = np.array([draw(st.sampled_from([-1.0, 1.0])) for _ in range(3)])
+        p = c + signs * axes * w ** (1.0 / (2.0 * exps))
+        r = (p - c) / axes
+        grad = 2.0 * exps * r ** (2 * exps - 1) / axes
+        assume(np.linalg.norm(grad) > 1e-9)
+        normal = grad / np.linalg.norm(grad)
+        tangent = np.cross(normal, [draw(real(-1.0, 1.0)) for _ in range(3)])
+        assume(np.linalg.norm(tangent) > 1e-3)
+        tangent /= np.linalg.norm(tangent)
+        p = p + draw(st.sampled_from([0.0, 1e-6, -1e-6]) | real(-1e-6, 1e-6)) * normal
+        before, after = draw(st.just(0.0) | real(0.5, 30.0)), draw(real(0.5, 30.0))
+        a, b = p - before * tangent, p + after * tangent
+        if draw(st.booleans()):
+            a, b = b, a
+        starts.append(a)
+        ends.append(b)
+    return env, np.array(starts), np.array(ends)
+
+
+@given(grazing_batches())
+@settings(max_examples=100, deadline=None)
+def test_grazing_segments_equal_reference(batch):
+    """Segments that touch or nearly touch a superellipsoid keep the exact
+    verdict of the full ternary search: the certified exits never decide a
+    row that the reference decides otherwise."""
+    env, starts, ends = batch
+    assert np.array_equal(segments_blocked(env, starts, ends),
+                          reference_segments_blocked(env, starts, ends))
+
+
+@st.composite
+def convex_brackets(draw):
+    """A convex function sampled on a bracket [a, b] of [0, 1], at least 1e-3
+    wide: gamma of a random prism along a random line, or a random kink
+    c + max(alpha (t - t_k), beta (t - t_k))."""
+    real = partial(st.floats, allow_nan=False, allow_infinity=False)
+    a = draw(real(0.0, 0.999))
+    b = draw(real(a + 1e-3, 1.0))
+    if draw(st.booleans()):
+        prism = Prism(Vec3(0.0, 0.0, 0.0), tuple(draw(real(4.0, 25.0)) for _ in range(3)),
+                      draw(st.sampled_from(GRAZING_EXPONENTS + [(2, 2, 2)])))
+        p0 = np.array([draw(real(-40.0, 40.0)) for _ in range(3)])
+        v = np.array([draw(real(-80.0, 80.0)) for _ in range(3)])
+
+        def f(t):
+            return world._gamma_points([p + t * d for p, d in zip(p0, v)],
+                                       *world._prism_arrays(prism))
+    else:
+        c, t_k = draw(real(-5.0, 5.0)), draw(real(-0.5, 1.5))
+        alpha, beta = sorted((draw(real(-50.0, 50.0)), draw(real(-50.0, 50.0))))
+
+        def f(t):
+            return c + np.maximum(alpha * (t - t_k), beta * (t - t_k))
+    return f, a, b
+
+
+@given(convex_brackets())
+@settings(max_examples=300, deadline=None)
+def test_sandwich_bound_never_exceeds_sampled_minimum(case):
+    """The lower bound the certified exits use, from the values at a, the two
+    thirds and b, is no more than the minimum of 4001 samples of [a, b], up
+    to rounding."""
+    f, a, b = case
+    third = (b - a) / 3.0
+    ga, g1, g2, gb = f(np.array([a, a + third, b - third, b]))
+    bound = world._sandwich_bound(*(np.array([g]) for g in (ga, g1, g2, gb)))[0]
+    dense = f(np.linspace(a, b, 4001))
+    scale = max(abs(ga), abs(g1), abs(g2), abs(gb), 1.0)
+    assert bound <= dense.min() + 1e-12 * scale
+
+
+@given(st.sampled_from([(2, 1, 3), (4, 4, 4), (1, 2, 2), (9, 3, 6)]), st.floats(0.5, 2000.0),
+       st.lists(st.floats(0.0, 1.0), min_size=6, max_size=6))
+@settings(max_examples=60, deadline=None)
+def test_gamma_rounding_within_exit_margin(exponents, spread, unit):
+    """The rounding model behind the exit margin: gamma computed at the
+    rounded point p0 + t v, inside the prism's AABB, is within k (1 + g) of
+    gamma at the exact line point, computed in rationals, where
+    k = 64 e u (1 + R / s)."""
+    prism = Prism(Vec3(spread, -spread, 0.5 * spread), (4.0, 25.0, 11.0), exponents)
+    lo, hi = prism.aabb()
+    p0 = lo - 5.0 + np.array(unit[:3]) * (hi - lo + 10.0)
+    v = lo + np.array(unit[3:]) * (hi - lo) - p0
+    t0, t1, valid = world._clip_to_aabb(p0[None, :], v[None, :], lo, hi)
+    assume(valid[0])
+    t = t0 + (t1 - t0) * np.linspace(0.0, 1.0, 9)
+    got = world._gamma_points([p + t * d for p, d in zip(p0, v)], *world._prism_arrays(prism))
+    reach = max(np.abs(p0).max(), np.abs(p0 + v).max())
+    k = Fraction(64 * max(exponents) * 2.0 ** -53 * (1.0 + reach / min(prism.semi_axes)))
+    for ti, gi in zip(t.tolist(), got.tolist()):
+        exact = sum(((Fraction(p) + Fraction(ti) * Fraction(d) - Fraction(c)) / Fraction(s))
+                    ** (2 * e) for p, d, c, s, e in zip(p0.tolist(), v.tolist(),
+                                                        prism.center.as_tuple(),
+                                                        prism.semi_axes, exponents))
+        assert abs(Fraction(gi) - exact) <= k * (1 + exact)
+
+
+def test_decided_rows_leave_after_the_first_iteration(monkeypatch):
+    """A segment far outside or through the middle of a (4,4,4) prism is
+    decided at the first checkpoint: gamma is evaluated at the bracket ends
+    and at one pair of probes. A tangent segment runs the full search."""
+    prism = Prism(Vec3(0.0, 0.0, 0.0), (10.0, 10.0, 10.0), (4, 4, 4))
+    calls = []
+    gamma_points = world._gamma_points
+    monkeypatch.setattr(world, "_gamma_points",
+                        lambda *args: calls.append(args) or gamma_points(*args))
+
+    def search(starts, ends):
+        calls.clear()
+        starts, ends = np.array(starts, dtype=float), np.array(ends, dtype=float)
+        t0, t1, valid = world._clip_to_aabb(starts, ends - starts, *prism.aabb())
+        assert valid.all()
+        return world._segments_meet_prism(starts, ends - starts, prism, t0, t1).tolist()
+
+    decisive = search([[-20.0, 9.9, 9.9], [-20.0, 0.0, 0.0]], [[20.0, 9.9, 9.9], [20.0, 0.0, 1.0]])
+    assert decisive == [False, True] and len(calls) == 2
+    assert search([[-20.0, 10.0, 0.0]], [[20.0, 10.0, 0.0]]) == [True]
+    assert len(calls) == 2 + world._SEGMENT_REFINE_ITERS
 
 
 def test_clip_to_aabb_quiet_on_overflowing_slab_quotient():
