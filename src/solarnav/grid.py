@@ -40,7 +40,7 @@ class EdgeCost:
     e_gain: float    # J harvestable (before battery clamping)
     duration: float  # s
     length: float    # m
-    shadow: bool     # the t = 0 sun is blocked at the edge midpoint
+    shadow: bool     # the sun is blocked at the edge midpoint
 
 
 @dataclass
@@ -100,8 +100,8 @@ class NavGrid(Lattice):
 
     - `e_out[k]`, `duration[k]` and `length[k]`: consumption, traversal time
       and length of motion primitive k under the attached energy model;
-    - `shadow[k, ix, iy, iz]`: the t = 0 sun is blocked at the midpoint of
-      the directed edge leaving node (ix, iy, iz) along k;
+    - `shadow[k, ix, iy, iz]`: the sun is blocked at the midpoint of the
+      directed edge leaving node (ix, iy, iz) along k;
     - `lit_gain[k, iz]`: harvest of a sunlit edge leaving layer iz along k.
 
     `edge_cost` and `neighbors` are views over these arrays; node indexing
@@ -246,7 +246,7 @@ def build_grid(env: Environment, resolution: float, margin: float = 2.0,
     # Edge midpoints lie on the half-step lattice, where node i sits at index
     # 2 * i + 1 and the midpoint of its edge along k at 2 * i + 1 + offsets[k].
     # Up to four edges (the diagonals of a face or a cube) share a midpoint;
-    # each midpoint is shadow-tested once, against the t = 0 sun.
+    # each midpoint is shadow-tested once.
     mid_views = [tuple(slice(1 + d, 1 + d + 2 * n, 2) for d, n in zip(off, (nx, ny, nz)))
                  for off in offsets.tolist()]
     half = np.zeros((2 * nx + 1, 2 * ny + 1, 2 * nz + 1), dtype=bool)
@@ -254,7 +254,7 @@ def build_grid(env: Environment, resolution: float, margin: float = 2.0,
         half[view] |= edge_ok[k]
     flat_half = half.reshape(-1)
     marked = np.flatnonzero(flat_half)
-    sun = env.sun.position_at(0.0).as_array()
+    sun = env.sun.position.as_array()
     for i in range(0, len(marked), SEGMENT_BLOCK):
         at = marked[i:i + SEGMENT_BLOCK]
         at3 = np.stack(np.unravel_index(at, half.shape), axis=1)

@@ -232,16 +232,7 @@ def _energy_rate(grid: NavGrid) -> float:
 
 def _max_edge_speed(grid: NavGrid) -> float:
     """Largest length/duration ratio over the grid's motion primitives."""
-    c = grid.energy.consumption
-    r = grid.spacing
-    best = 0.0
-    for off in grid.offsets:
-        d_h = r * math.hypot(off[0], off[1])
-        dz = r * abs(off[2])
-        v_vert = c.v_up if off[2] > 0 else c.v_down
-        duration = max(d_h / c.v, dz / v_vert if off[2] != 0 else 0.0)
-        best = max(best, math.sqrt(d_h * d_h + dz * dz) / duration)
-    return best
+    return float((grid.length / grid.duration).max())
 
 
 def _plan(grid: NavGrid, battery: Optional[BatteryState], start: Vec3, goal: Vec3,

@@ -45,7 +45,8 @@ def write_trajectory_csv(log: SimLog, path: str) -> None:
 
 
 def plan_csv_rows(plan: Path, sc: Scenario) -> List[str]:
-    """Waypoint rows for a planned path with static timestamps from durations."""
+    """Waypoint rows for a planned path with static timestamps from durations.
+    A row's `shadow` and `min_dist` see the unknown spheres at the row's time."""
     rows = []
     t = 0.0
     battery = plan.battery_profile
@@ -61,9 +62,10 @@ def plan_csv_rows(plan: Path, sc: Scenario) -> List[str]:
             prev = plan.waypoints[i - 1]
             theta = math.atan2(wp.y - prev.y, wp.x - prev.x)
         level = battery[i] if battery else sc.battery.energy
-        shadow = shadowed_at(sc.env, wp, t, sc.unknown_obstacles)
-        sep = min_separation(sc.env, sc.unknown_obstacles, wp)
-        rows.append(_row(t, wp.x, wp.y, wp.z, theta, speed, 0.0, level, shadow, "plan", sep))
+        spheres = [o.at(t) for o in sc.unknown_obstacles]
+        rows.append(_row(t, wp.x, wp.y, wp.z, theta, speed, 0.0, level,
+                         shadowed_at(sc.env, wp, spheres), "plan",
+                         min_separation(sc.env, spheres, wp)))
     return rows
 
 
@@ -74,9 +76,10 @@ def write_plan_csv(plan: Path, sc: Scenario, path: str) -> None:
 def write_privacy_csv(plan: PrivacyPlan, sc: Scenario, path: str) -> None:
     """Waypoint rows of a privacy DP trajectory. The DP tracks no heading,
     speed, battery use or shadow: those columns read 0, and battery the
-    scenario's initial charge, as for a plan without a battery profile."""
+    scenario's initial charge, as for a plan without a battery profile.
+    `min_dist` sees the unknown spheres at the row's time."""
     _write_rows([_row(t, p.x, p.y, p.z, 0.0, 0.0, 0.0, sc.battery.energy, False, "plan",
-                      min_separation(sc.env, sc.unknown_obstacles, p))
+                      min_separation(sc.env, [o.at(t) for o in sc.unknown_obstacles], p))
                  for t, p in plan.trajectory], path)
 
 

@@ -136,7 +136,7 @@ SPEC = {
         # Either angle given replaces both derived from the position; an
         # absent one then takes SunModel's default.
         "sun": ({"position": (_vec, [0, 0, 10000]), "azimuth": (_real, None),
-                 "elevation": (_real, None), "drift": (_vec, _ORIGIN)}, {}),
+                 "elevation": (_real, None)}, {}),
     }, {}),
     "energy": ({"model": (_text, "clear"),
                 "consumption": (_fields(ConsumptionParams), {}),
@@ -223,7 +223,7 @@ def scenario_from_dict(data: Dict[str, Any]) -> Scenario:
     sun = world["sun"]
     angles = {k: v for k, v in sun.items() if k in ("azimuth", "elevation") and v is not None}
     make = SunModel if angles else partial(SunModel.from_position, reference=bounds.center())
-    sun = _build(make, "world.sun", position=sun["position"], drift=sun["drift"], **angles)
+    sun = _build(make, "world.sun", position=sun["position"], **angles)
     altitude = world["altitude"]
     env = _build(Environment, "world", bounds=bounds, known_obstacles=tuple(prisms),
                  privacy_regions=tuple(regions), sun=sun,
@@ -289,8 +289,7 @@ def scenario_to_dict(sc: Scenario) -> Dict[str, Any]:
                                  "c1": r.c1, "c2": r.c2}
                                 for r in env.privacy_regions],
             "sun": {"position": list(env.sun.position.as_tuple()),
-                    "azimuth": env.sun.azimuth, "elevation": env.sun.elevation,
-                    "drift": list(env.sun.drift.as_tuple())},
+                    "azimuth": env.sun.azimuth, "elevation": env.sun.elevation},
         },
         "energy": {
             "model": sc.energy.mode.value,

@@ -190,13 +190,11 @@ def _sphere_blocks_segment(a: Vec3, b: Vec3, center: Vec3, radius: float) -> boo
     return math.sqrt(dx * dx + dy * dy + dz * dz) <= radius
 
 
-def shadowed_at(env: Environment, p: Vec3, t: float,
-                obstacles: Sequence[MovingObstacle]) -> bool:
-    """Shadow test including unknown spheres at their time-t positions."""
-    if in_shadow(env, p, t):
+def shadowed_at(env: Environment, p: Vec3, obstacles: Sequence[MovingObstacle]) -> bool:
+    """Shadow test including the unknown spheres where they are now."""
+    if in_shadow(env, p):
         return True
-    sun = env.sun.position_at(t)
-    return any(_sphere_blocks_segment(sun, p, o.center + o.velocity.scaled(t), o.radius)
+    return any(_sphere_blocks_segment(env.sun.position, p, o.center, o.radius)
                for o in obstacles)
 
 
@@ -281,7 +279,7 @@ def run_scenario(sc: Scenario, mode: str = "hybrid",
 
     log.records.append(StepRecord(
         0.0, sc.start.x, sc.start.y, sc.start.z, state.heading, 0.0, 0.0,
-        sc.battery.energy, shadowed_at(sc.env, sc.start, 0.0, obstacles),
+        sc.battery.energy, shadowed_at(sc.env, sc.start, obstacles),
         state.mode, min_separation(sc.env, obstacles, sc.start)))
 
     n_steps = int(round(sc.max_duration / sc.dt))
@@ -313,8 +311,6 @@ def run_scenario(sc: Scenario, mode: str = "hybrid",
         else:
             v_cmd, u_cmd = pursuit_command(state, target, sc.lookahead, sc.limits)
 
-        v_cmd = min(max(v_cmd, sc.limits.v_min), sc.limits.v_max)
-        u_cmd = min(max(u_cmd, -sc.limits.u_max), sc.limits.u_max)
         if sc.planar_z is None:
             w_raw = (target.z - state.position.z) / sc.dt
             w_cmd = min(max(w_raw, -sc.limits.climb_rate), sc.limits.climb_rate)
@@ -328,7 +324,7 @@ def run_scenario(sc: Scenario, mode: str = "hybrid",
         t += sc.dt
 
         e_out, _ = cons.move(v_cmd * sc.dt, state.position.z - log.records[-1].z)
-        shadow = shadowed_at(sc.env, state.position, t, sc.unknown_obstacles)
+        shadow = shadowed_at(sc.env, state.position, obstacles)
         e_gain = sc.energy.gain(sun.elevation, shadow, state.position.z, sc.dt)
         try:
             battery = battery_step(state.battery, e_out, e_gain)

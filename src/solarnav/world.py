@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -131,34 +131,24 @@ class Prism:
 class SunModel:
     """Sun position for line-of-sight tests plus panel-incidence angles.
 
-    `drift` moves the position linearly with time; azimuth/elevation are held
-    fixed (the drift models small apparent motion over a mission).
-    """
+    The sun stands still for the whole mission."""
 
     position: Vec3
     azimuth: float = 0.0          # rad, from +x axis in the horizontal plane
     elevation: float = math.pi / 2  # rad in [0, pi/2]
-    drift: Vec3 = field(default_factory=lambda: Vec3(0.0, 0.0, 0.0))
 
     def __post_init__(self):
         if not 0.0 <= self.elevation <= math.pi / 2:
             raise ValidationError("elevation", f"must lie in [0, pi/2], got {self.elevation}")
 
-    def position_at(self, t: float) -> Vec3:
-        if self.drift.x == 0.0 and self.drift.y == 0.0 and self.drift.z == 0.0:
-            return self.position
-        return self.position + self.drift.scaled(t)
-
     @staticmethod
-    def from_position(position: Vec3, reference: Vec3,
-                      drift: Optional[Vec3] = None) -> "SunModel":
+    def from_position(position: Vec3, reference: Vec3) -> "SunModel":
         """Derive azimuth/elevation from the direction reference -> position."""
         d = position - reference
         horiz = math.hypot(d.x, d.y)
         elevation = math.atan2(d.z, horiz)
         azimuth = math.atan2(d.y, d.x) if horiz > 0 else 0.0
-        return SunModel(position, azimuth, max(0.0, min(math.pi / 2, elevation)),
-                        drift or Vec3(0.0, 0.0, 0.0))
+        return SunModel(position, azimuth, max(0.0, min(math.pi / 2, elevation)))
 
 
 @dataclass(frozen=True)
@@ -456,6 +446,6 @@ def segment_blocked(env: Environment, a: Vec3, b: Vec3) -> bool:
     return bool(segments_blocked(env, a.as_array()[None, :], b.as_array()[None, :])[0])
 
 
-def in_shadow(env: Environment, p: Vec3, t: float = 0.0) -> bool:
-    """True (no harvest) iff a prism blocks the sun-to-p segment at time t."""
-    return segment_blocked(env, env.sun.position_at(t), p)
+def in_shadow(env: Environment, p: Vec3) -> bool:
+    """True (no harvest) iff a prism blocks the sun-to-p segment."""
+    return segment_blocked(env, env.sun.position, p)

@@ -168,15 +168,15 @@ def reference_neighbors(grid: NavGrid, flat: int) -> List[Tuple[int, int]]:
 
 def reference_edge_cost(grid: NavGrid, a: int, b: int) -> EdgeCost:
     """Annotation of the directed edge a -> b evaluated on its own: motion
-    from the node coordinate deltas, a scalar shadow test of the t = 0 sun at
-    the midpoint, and the model's harvest power at the midpoint altitude."""
+    from the node coordinate deltas, a scalar shadow test of the sun at the
+    midpoint, and the model's harvest power at the midpoint altitude."""
     pa = np.array(grid.node_xyz(a))
     pb = np.array(grid.node_xyz(b))
     d_h = float(math.hypot(pb[0] - pa[0], pb[1] - pa[1]))
     dz = float(pb[2] - pa[2])
     e_out, duration = grid.energy.consumption.move(d_h, dz)
     mid = Vec3.from_array((pa + pb) / 2.0)
-    shadowed = in_shadow(grid.env, mid, 0.0)
+    shadowed = in_shadow(grid.env, mid)
     sun = grid.env.sun
     cos_theta = incidence_cosine(0.0, 0.0, sun.azimuth, sun.elevation)
     power = grid.energy.harvest_power(cos_theta, shadowed, mid.z)

@@ -355,6 +355,15 @@ def test_misspelt_key_is_named_with_the_closest_known_key(tmp_path, name, path, 
     assert f"{_dotted(path + (bad,))}: unknown key; did you mean {key!r}?" in result.output
 
 
+def test_sun_drift_is_an_unknown_key(tmp_path):
+    """The sun stands still: a drift is rejected at its path, not ignored."""
+    doc = PRESET_DOCS["section5"]()
+    doc["world"]["sun"]["drift"] = [1.0, 0.0, 0.0]
+    result = CliRunner().invoke(main, ["plan", "-s", write(tmp_path, yaml.safe_dump(doc))])
+    assert result.exit_code == 2, result.output
+    assert "world.sun.drift: unknown key" in result.output
+
+
 _KEYS = st.sampled_from(sorted({k for _, doc in PRESET_DOCS.items()
                                 for _, node in _mappings(doc()) for k in node}))
 _SCALARS = (st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
@@ -522,6 +531,24 @@ def test_plan_privacy_planner(tmp_path):
         want = min_separation(sc.env, sc.unknown_obstacles, Vec3(*map(float, cells[1:4])))
         assert battery == sc.battery.energy
         assert 0.0 < min_dist < math.inf and min_dist == pytest.approx(want, rel=1e-8)
+
+
+def test_plan_csv_places_the_spheres_at_each_row_time(tmp_path):
+    """A plan CSV row's `min_dist` is measured with the unknown spheres moved
+    to the row's `t`, the time its `shadow` column is taken at."""
+    out = tmp_path / "plan.csv"
+    result = CliRunner().invoke(main, ["plan", "-s", "section5", "-p", "energy",
+                                       "-o", str(out)])
+    assert result.exit_code == 0, result.output
+    sc = load_scenario("section5")
+    assert any(o.speed > 0 for o in sc.unknown_obstacles)
+    _, *rows = out.read_text().splitlines()
+    for row in rows:
+        cells = row.split(",")
+        t, min_dist = float(cells[0]), float(cells[10])
+        want = min_separation(sc.env, [o.at(t) for o in sc.unknown_obstacles],
+                              Vec3(*map(float, cells[1:4])))
+        assert min_dist == pytest.approx(want, abs=1e-5), row
 
 
 def test_plan_energy_cheaper_than_shortest_reports(tmp_path):

@@ -7,12 +7,15 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from solarnav import (AvoidanceParams, BatteryState, ControlLimits, Detection,
                       LimitClamped, Mode, MovingObstacle, UavState, Vec3,
                       avoidance_command, pursuit_command, pursuit_lookahead,
                       sense_obstacles, step_kinematics_3d, step_kinematics_planar,
                       supervisor_step, wrap_angle)
+from solarnav.control import realign_command
 
 LIMITS = ControlLimits(v_min=0.0, v_max=20.0, cruise=12.0,
                        u_max=2.0943951023931953, climb_rate=3.0)
@@ -267,6 +270,44 @@ def test_avoidance_bang_bang_output():
         det = bearing_detection(a1, a2, vel=(rng.uniform(-3, 3), rng.uniform(-3, 3)))
         _, u = avoidance_command(s, det, (0.0, 1.0), AVOID, LIMITS)
         assert u in (-LIMITS.u_max, 0.0, LIMITS.u_max)
+
+
+_coord = st.floats(-500.0, 500.0)
+_angle = st.floats(-math.pi, math.pi)
+
+
+@st.composite
+def _limits(draw):
+    v_min = draw(st.floats(0.0, 10.0))
+    cruise = v_min + draw(st.floats(0.1, 10.0))
+    return ControlLimits(v_min=v_min, v_max=cruise + draw(st.floats(0.1, 20.0)),
+                         cruise=cruise, u_max=draw(st.floats(0.01, 5.0)))
+
+
+@st.composite
+def _detections(draw):
+    alpha_low = draw(st.floats(-math.pi / 2, math.pi / 2))
+    return Detection(0, alpha_low + draw(st.floats(0.0, math.pi / 2)), alpha_low,
+                     (draw(st.floats(-50.0, 50.0)), draw(st.floats(-50.0, 50.0))),
+                     draw(st.floats(0.1, 100.0)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(limits=_limits(), x=_coord, y=_coord, heading=_angle, tx=_coord, ty=_coord,
+       lookahead=st.floats(1.0, 100.0), det=_detections(), sun=_angle,
+       alpha_safe=st.floats(0.01, 1.5), threshold=st.floats(0.0, math.pi))
+def test_command_laws_stay_within_limits(limits, x, y, heading, tx, ty, lookahead, det,
+                                         sun, alpha_safe, threshold):
+    """Every command law returns a speed in [v_min, v_max] and a turn rate
+    within +-u_max, so the simulator applies them without a re-clamp."""
+    s = make_state(x, y, heading=heading)
+    target = Vec3(tx, ty, 100.0)
+    params = AvoidanceParams(alpha_safe=alpha_safe, threshold=threshold)
+    for v, u in (pursuit_command(s, target, lookahead, limits),
+                 avoidance_command(s, det, (math.cos(sun), math.sin(sun)), params, limits),
+                 realign_command(s, target, limits)):
+        assert limits.v_min <= v <= limits.v_max
+        assert abs(u) <= limits.u_max
 
 
 # ------------------------------------------------------------------ supervisor

@@ -138,8 +138,8 @@ def test_shadow_flags_match_posthoc_recomputation():
     sc = load_scenario("section5")
     log, _ = run_scenario(sc, mode="hybrid")
     for rec in log.records:
-        assert rec.shadow == shadowed_at(sc.env, rec.position, rec.t,
-                                         sc.unknown_obstacles)
+        assert rec.shadow == shadowed_at(sc.env, rec.position,
+                                         [o.at(rec.t) for o in sc.unknown_obstacles])
 
 
 def test_logged_positions_collision_free_when_flag_clear():

@@ -4,9 +4,9 @@
 the privacy DP at `cli`, the grid build and the grid planners at `simulate`.
 A change that moved one of those calls elsewhere would leave its heavy
 metrics at zero under `bench/run.py --trace 1`. This traces one `compare`
-job of the `city_plan` pool and one `privacy_dp` job with a prism, and
-checks that every binding exists and no heavy metric of the job's workload
-reads zero.
+job of the `city_plan` pool, one `privacy_dp` job with a prism and one
+`closed_loop` job that replans, and checks that every binding exists and no
+heavy metric of the job's workload reads zero.
 """
 
 from __future__ import annotations
@@ -30,7 +30,9 @@ def _has_prism(job) -> bool:
 
 @pytest.mark.parametrize("workload, pick", [
     ("city_plan", lambda job: job["kind"] == "compare"),
-    ("privacy_dp", _has_prism)], ids=["city_plan-compare", "privacy_dp-prism"])
+    ("privacy_dp", _has_prism),
+    ("closed_loop", lambda job: job["kind"] == "hybrid-replan")],
+    ids=["city_plan-compare", "privacy_dp-prism", "closed_loop-hybrid-replan"])
 def test_traced_job_reads_on_every_heavy_metric(workload, pick, tmp_path):
     from solarnav.cli import main
     job = next(j for j in workloads.write_pool(workload, 3, str(tmp_path)) if pick(j))
