@@ -20,8 +20,8 @@ from .grid import EmptyGrid, build_grid  # noqa: F401
 from .planning import NoPath, NodeInObstacle, \
     plan_energy_efficient, plan_shortest, plan_time_efficient  # noqa: F401
 from .privacy import DpBudgetExceeded, Unreachable, plan_privacy_dp, total_privacy_risk
-from .reporting import plan_summary, report_text, write_plan_csv, write_privacy_csv, \
-    write_report, write_trajectory_csv
+from .reporting import contact_entry, plan_summary, report_text, write_plan_csv, \
+    write_privacy_csv, write_report, write_trajectory_csv
 from .scenario_io import ParseError, ValidationError, load_scenario, scenario_digest
 from .simulate import CONTROL_MODES, PLANNER_NAMES, PlanningFailed, run_planner, \
     run_scenario, scenario_grid
@@ -61,7 +61,7 @@ def _planned(sc, name: str, grid):
             raise click.UsageError(f"invalid scenario {sc.name!r}: privacy.pitch: {exc}")
         row = {"total_time_s": result.t_f, "risk": result.risk,
                "risk_integral": total_privacy_risk(result.sampled(8), sc.env.privacy_regions),
-               "waypoints": len(result.trajectory)}
+               "waypoints": len(result.trajectory), **contact_entry(sc, result.trajectory)}
         return result, row, write_privacy_csv
     if isinstance(grid, Exception):
         raise grid

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import List, Sequence, Tuple, TYPE_CHECKING
 
@@ -163,7 +163,7 @@ def step_kinematics_3d(state: UavState, v: float, w: float, omega: float,
     x, y, z, theta = _rk4(p.x, p.y, p.z, state.heading, cv, cw, co, dt)
     if clamped:
         warnings.warn("inputs clamped", LimitClamped, stacklevel=2)
-    return replace(state, position=Vec3(x, y, z), heading=theta, speed=cv)
+    return UavState(Vec3(x, y, z), theta, cv, state.battery, state.mode)
 
 
 def step_kinematics_planar(state: UavState, v: float, omega: float, dt: float,
@@ -174,7 +174,7 @@ def step_kinematics_planar(state: UavState, v: float, omega: float, dt: float,
     x, y, _, theta = _rk4(p.x, p.y, p.z, state.heading, cv, 0.0, co, dt)
     if clamped:
         warnings.warn("inputs clamped", LimitClamped, stacklevel=2)
-    return replace(state, position=Vec3(x, y, p.z), heading=theta, speed=cv)
+    return UavState(Vec3(x, y, p.z), theta, cv, state.battery, state.mode)
 
 
 def pursuit_lookahead(waypoints: Sequence[Vec3], p: Vec3, lookahead: float) -> Vec3:
@@ -182,7 +182,14 @@ def pursuit_lookahead(waypoints: Sequence[Vec3], p: Vec3, lookahead: float) -> V
     waypoint nearest to p (the final waypoint when the path runs out)."""
     if not waypoints:
         raise ValueError("path must be non-empty")
-    nearest = min(range(len(waypoints)), key=lambda i: (p.dist_to(waypoints[i]), i))
+    # `p.dist_to` inlined; the strict < keeps the lowest index among ties.
+    px, py, pz = p.x, p.y, p.z
+    nearest, best = 0, math.inf
+    for i, w in enumerate(waypoints):
+        dx, dy, dz = px - w.x, py - w.y, pz - w.z
+        d = math.sqrt(dx * dx + dy * dy + dz * dz)
+        if d < best:
+            nearest, best = i, d
     remaining = lookahead
     for i in range(nearest, len(waypoints) - 1):
         a, b = waypoints[i], waypoints[i + 1]

@@ -6,13 +6,14 @@ byte-identical files."""
 from __future__ import annotations
 
 import math
-from typing import Dict, List
+from typing import Dict, Iterable, Iterator, List, Tuple
 
 import yaml
 
 from .planning import Path
 from .privacy import PrivacyPlan
 from .simulate import Scenario, SimLog, min_separation, shadowed_at
+from .world import Vec3
 
 CSV_HEADER = "t,x,y,z,theta,v,u,battery,shadow,mode,min_dist"
 
@@ -44,15 +45,32 @@ def write_trajectory_csv(log: SimLog, path: str) -> None:
     _write_rows(trajectory_csv_rows(log), path)
 
 
+def _stamped(plan: Path) -> Iterator[Tuple[float, Vec3]]:
+    """(t, waypoint) pairs of a planned path, timed by its edge durations."""
+    t = 0.0
+    for i, wp in enumerate(plan.waypoints):
+        if i > 0:
+            t += plan.edges[i - 1].duration
+        yield t, wp
+
+
+def contact_entry(sc: Scenario, stamped: Iterable[Tuple[float, Vec3]]) -> Dict[str, bool]:
+    """The report entry `unknown_obstacle_contact`: whether some timed point
+    (t, p) lies within or on an unknown sphere placed at t, as the CSV rows
+    place them. Empty for a scenario without unknown spheres."""
+    if not sc.unknown_obstacles:
+        return {}
+    return {"unknown_obstacle_contact": any(
+        p.dist_to(o.center) <= o.radius
+        for t, p in stamped for o in (u.at(t) for u in sc.unknown_obstacles))}
+
+
 def plan_csv_rows(plan: Path, sc: Scenario) -> List[str]:
     """Waypoint rows for a planned path with static timestamps from durations.
     A row's `shadow` and `min_dist` see the unknown spheres at the row's time."""
     rows = []
-    t = 0.0
     battery = plan.battery_profile
-    for i, wp in enumerate(plan.waypoints):
-        if i > 0:
-            t += plan.edges[i - 1].duration
+    for i, (t, wp) in enumerate(_stamped(plan)):
         theta, speed = 0.0, 0.0
         if i < len(plan.waypoints) - 1:
             nxt = plan.waypoints[i + 1]
@@ -87,7 +105,8 @@ def plan_summary(plan: Path, sc: Scenario) -> Dict[str, float]:
     """Planner-level metrics mirroring the simulation Metrics fields.
 
     `battery_feasible` is false when the battery profile dips below the
-    floor, as the shortest path, which ignores energy, may."""
+    floor, as the shortest path, which ignores energy, may. With unknown
+    spheres, `unknown_obstacle_contact` tells whether the path meets one."""
     shadow_time = sum((e.duration for e in plan.edges if e.shadow), 0.0)
     profile = plan.battery_profile or [sc.battery.energy]
     return {
@@ -101,6 +120,7 @@ def plan_summary(plan: Path, sc: Scenario) -> Dict[str, float]:
         "final_battery_J": profile[-1],
         "battery_feasible": min(profile) >= sc.battery.floor,
         "waypoints": len(plan.waypoints),
+        **contact_entry(sc, _stamped(plan)),
     }
 
 

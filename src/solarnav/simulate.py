@@ -4,7 +4,7 @@ moving unknown obstacles, energy accounting and full trace logging."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from .control import (AvoidanceParams, ControlLimits, Detection, Mode, UavState,
@@ -40,7 +40,9 @@ class MovingObstacle:
             raise ValidationError("radius", "must be positive")
 
     def at(self, t: float) -> "MovingObstacle":
-        return replace(self, center=self.center + self.velocity.scaled(t))
+        c, v = self.center, self.velocity
+        return MovingObstacle(Vec3(c.x + v.x * t, c.y + v.y * t, c.z + v.z * t),
+                              self.radius, v)
 
     @property
     def speed(self) -> float:
@@ -299,7 +301,8 @@ def run_scenario(sc: Scenario, mode: str = "hybrid",
             if (replan and grid is not None and new_mode is Mode.TRACKING):
                 waypoints = _replanned_waypoints(sc, grid, state, waypoints, log, t)
                 target = pursuit_lookahead(waypoints, state.position, sc.lookahead)
-            state = replace(state, mode=new_mode)
+            state = UavState(state.position, state.heading, state.speed, state.battery,
+                             new_mode)
 
         if state.mode is Mode.AVOIDING:
             if detections:
@@ -331,7 +334,7 @@ def run_scenario(sc: Scenario, mode: str = "hybrid",
         except BatteryDepleted as exc:
             log.events.append(SimEvent(t, "battery_depleted", str(exc)))
             break
-        state = replace(state, battery=battery)
+        state = UavState(state.position, state.heading, state.speed, battery, state.mode)
 
         sep = min_separation(sc.env, obstacles, state.position)
         log.records.append(StepRecord(

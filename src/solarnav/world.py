@@ -57,7 +57,13 @@ class Vec3:
         return math.sqrt(self.dot(self))
 
     def dist_to(self, other: "Vec3") -> float:
-        return (self - other).norm()
+        """`(self - other).norm()`, bit for bit, without building the difference."""
+        dx, dy, dz = self.x - other.x, self.y - other.y, self.z - other.z
+        d2 = dx * dx + dy * dy + dz * dz
+        if not d2 < math.inf and not (math.isfinite(dx) and math.isfinite(dy)
+                                      and math.isfinite(dz)):
+            raise ValueError(f"Vec3 coordinates must be finite, got {(dx, dy, dz)}")
+        return math.sqrt(d2)
 
     def horizontal_dist_to(self, other: "Vec3") -> float:
         return math.hypot(self.x - other.x, self.y - other.y)
@@ -440,10 +446,37 @@ def segments_blocked(env: Environment, starts: np.ndarray, ends: np.ndarray) -> 
 
 
 def segment_blocked(env: Environment, a: Vec3, b: Vec3) -> bool:
-    """True iff the closed segment a-b intersects any prism (symmetric in a, b)."""
+    """True iff the closed segment a-b intersects any prism (symmetric in a, b).
+
+    `_blocked_block`'s broad phase and slab clip run first on Python floats,
+    in the same IEEE expressions, and a segment every prism's box rejects is
+    clear. Any other goes through `segments_blocked` as one row. (A NaN,
+    which makes the numpy clip reject a row, may let a prism through here.)"""
     if a == b:
         raise ValueError("segment endpoints must differ")
-    return bool(segments_blocked(env, a.as_array()[None, :], b.as_array()[None, :])[0])
+    start, end = tuple(map(float, a.as_tuple())), tuple(map(float, b.as_tuple()))
+    (sx, sy, sz), (ex, ey, ez) = start, end
+    lo = (min(sx, ex), min(sy, ey), min(sz, ez))
+    hi = (max(sx, ex), max(sy, ey), max(sz, ez))
+    pad = _AABB_PAD * (1.0 + max(max(hi), -min(lo)))
+    axes = tuple(zip(start, (ex - sx, ey - sy, ez - sz), lo, hi))
+    for prism in env.known_obstacles:
+        t0, t1 = 0.0, 1.0
+        for (s, di, l, h), c, r in zip(axes, prism.center.as_tuple(), prism.semi_axes):
+            box_lo, box_hi = float(c) - float(r), float(c) + float(r)
+            if l - pad > box_hi or h + pad < box_lo:
+                break
+            if abs(di) < 1e-303:
+                if s < box_lo or s > box_hi:
+                    break
+                continue
+            ta, tb = (box_lo - s) / di, (box_hi - s) / di
+            t0, t1 = max(t0, min(ta, tb)), min(t1, max(ta, tb))
+            if t0 > t1:
+                break
+        else:  # the segment enters this prism's box
+            return bool(segments_blocked(env, np.array([start]), np.array([end]))[0])
+    return False
 
 
 def in_shadow(env: Environment, p: Vec3) -> bool:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from pathlib import Path
 
@@ -11,9 +12,10 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from solarnav import Vec3, min_separation
+from solarnav import MovingObstacle, Vec3, min_separation
 from solarnav import scenario_io
 from solarnav.cli import main
+from solarnav.reporting import contact_entry
 from solarnav.scenario_io import (SPEC, ParseError, ValidationError, load_scenario,
                                   load_scenario_file, save_scenario, scenario_digest,
                                   scenario_from_dict, scenario_to_dict, section4_preset,
@@ -511,6 +513,38 @@ def test_compare_row_equals_plan_metrics(tmp_path):
         result = runner.invoke(main, ["plan", "-s", path, "-p", name])
         assert result.exit_code == 0, result.output
         assert rows[name] == yaml.safe_load(result.output)["metrics"], name
+
+
+def test_plan_flags_unknown_obstacle_contact(tmp_path):
+    """section5's unknown spheres are hidden from the planners. The report
+    flags a path with a waypoint inside one, where the CSV's `min_dist`
+    goes negative (only the energy path does), and compare carries the flag."""
+    names = ["energy", "time", "shortest", "privacy"]
+    runner = CliRunner()
+    result = runner.invoke(main, ["compare", "-s", "section5", "-p", ",".join(names)])
+    assert result.exit_code == 0, result.output
+    rows = yaml.safe_load(result.output)["planners"]
+    for name in names:
+        out = tmp_path / f"{name}.csv"
+        result = runner.invoke(main, ["plan", "-s", "section5", "-p", name, "-o", str(out)])
+        assert result.exit_code == 0, result.output
+        flag = yaml.safe_load(result.output)["metrics"]["unknown_obstacle_contact"]
+        min_dist = [float(row.split(",")[10]) for row in out.read_text().splitlines()[1:]]
+        assert flag == any(d <= 0.0 for d in min_dist) == (name == "energy"), name
+        assert rows[name]["unknown_obstacle_contact"] == flag, name
+
+
+def test_contact_places_spheres_at_the_waypoint_time():
+    """A waypoint on the surface of a moving sphere counts only at the time
+    the sphere is there; a scenario without spheres gets no entry."""
+    sc = load_scenario("section4")
+    assert contact_entry(sc, [(0.0, sc.start)]) == {}
+    sphere = MovingObstacle(Vec3(100.0, 180.0, 40.0), 5.0, Vec3(2.0, 0.0, 0.0))
+    sc = dataclasses.replace(sc, unknown_obstacles=(sphere,))
+    surface = Vec3(115.0, 180.0, 40.0)
+    assert contact_entry(sc, [(5.0, surface)]) == {"unknown_obstacle_contact": True}
+    assert contact_entry(sc, [(0.0, surface), (4.0, surface)]) == \
+        {"unknown_obstacle_contact": False}
 
 
 def test_plan_privacy_planner(tmp_path):

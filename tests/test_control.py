@@ -99,6 +99,35 @@ def test_lookahead_saturates_at_final_waypoint():
     assert target == STRAIGHT[-1]
 
 
+def test_lookahead_ties_go_to_the_lowest_index():
+    """Two waypoints equidistant from p: the arc starts at the first."""
+    path = [Vec3(100.0, 0.0, 0.0), Vec3(0.0, 5.0, 0.0), Vec3(0.0, -5.0, 0.0)]
+    assert pursuit_lookahead(path, Vec3(0.0, 0.0, 0.0), 1.0) == Vec3(0.0, 4.0, 0.0)
+
+
+def _lookahead_by_min_key(waypoints, p, lookahead):
+    """The nearest waypoint by `min(key=(dist, i))`, then the arc walk."""
+    nearest = min(range(len(waypoints)), key=lambda i: ((p - waypoints[i]).norm(), i))
+    remaining = lookahead
+    for a, b in zip(waypoints[nearest:], waypoints[nearest + 1:]):
+        seg = (a - b).norm()
+        if remaining <= seg:
+            u = remaining / seg
+            return Vec3(a.x + u * (b.x - a.x), a.y + u * (b.y - a.y), a.z + u * (b.z - a.z))
+        remaining -= seg
+    return waypoints[-1]
+
+
+@given(st.lists(st.tuples(*[st.integers(-3, 3).map(float)] * 3), min_size=1, max_size=8),
+       st.tuples(*[st.integers(-3, 3).map(float)] * 3), st.floats(0.5, 10.0))
+@settings(max_examples=200)
+def test_lookahead_equals_min_key_scan(points, p, lookahead):
+    """On a small integer lattice, where equal distances are common."""
+    waypoints = [Vec3(*q) for q in points]
+    assert pursuit_lookahead(waypoints, Vec3(*p), lookahead) == \
+        _lookahead_by_min_key(waypoints, Vec3(*p), lookahead)
+
+
 def test_lookahead_matches_resampling_oracle_on_zigzag():
     from oracles import resampled_lookahead
     rng = np.random.default_rng(5)

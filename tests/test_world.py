@@ -393,6 +393,110 @@ def test_clip_to_aabb_quiet_on_overflowing_slab_quotient():
     assert not valid[0] and t0[0] == math.inf and t1[0] == 1.0
 
 
+# Direction components at and around the parallel cutoff of the slab clip.
+NEAR_CUTOFF = [1e-303, float(np.nextafter(1e-303, 0.0)), float(np.nextafter(1e-303, 1.0)),
+               5e-304, 2e-303, 1e-300, 5e-324]
+
+
+@st.composite
+def one_segment_worlds(draw):
+    """A `random_env` world plus a prism whose box has a face on each
+    coordinate plane, half the time 6e5 m long in x and y, and segments for
+    the one-row path: free, sun rays, ending on or an ulp off a box face,
+    and near a coordinate plane with a direction component just above or
+    below the 1e-303 parallel cutoff. On the long prism the slab quotient of
+    such a component overflows to inf."""
+    env = random_env(np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))),
+                     n_prisms=draw(st.integers(0, 3)))
+    r, half = draw(st.floats(5.0, 20.0)), draw(st.sampled_from([10.0, 3e5]))
+    corner = Prism(Vec3(half, half, r), (half, half, r),
+                   draw(st.sampled_from([(1, 1, 1), (2, 1, 3), (4, 4, 4)])))
+    prisms = env.known_obstacles + (corner,)
+    env = Environment(env.bounds, prisms, sun=env.sun, z_min=env.z_min, z_max=env.z_max)
+    coord = st.floats(-20.0, 160.0)
+
+    def on_face(p):
+        prism = draw(st.sampled_from(prisms))
+        lo, hi = prism.aabb()
+        axis = draw(st.integers(0, 2))
+        face = float(draw(st.sampled_from([lo[axis], hi[axis]])))
+        p[axis] = draw(st.sampled_from([face, float(np.nextafter(face, -np.inf)),
+                                        float(np.nextafter(face, np.inf))]))
+        return p
+
+    rows = []
+    for _ in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from(["free", "sun", "face", "cutoff"]))
+        a, b = [draw(coord) for _ in range(3)], [draw(coord) for _ in range(3)]
+        if kind == "sun":
+            a = list(env.sun.position.as_tuple())
+            b = on_face(b) if draw(st.booleans()) else b
+        elif kind == "face":
+            b = on_face(b)
+        elif kind == "cutoff":  # inside the corner box on the other axes
+            a, b = ([draw(st.floats(-1.0, 2.0 * r + 1.0)) for _ in range(3)]
+                    for _ in range(2))
+            axis = draw(st.integers(0, 2))
+            a[axis] = draw(st.sampled_from([0.0, 5e-304, -5e-304, 1e-303]))
+            b[axis] = a[axis] + draw(st.sampled_from([1.0, -1.0])) * draw(
+                st.sampled_from(NEAR_CUTOFF))
+        if draw(st.booleans()):
+            a, b = b, a
+        assume(a != b)
+        rows.append((Vec3(*a), Vec3(*b)))
+    return env, rows
+
+
+# A direction component of exactly 1e-303 from a start 5e-304 outside the
+# corner box: the clip keeps t in [0.5, 1], a parallel test would miss.
+CUTOFF_ROW = (env_with([Prism(Vec3(10.0, 10.0, 10.0), (10.0, 10.0, 10.0), (2, 2, 2))]),
+              [(Vec3(-5e-304, 5.0, 5.0), Vec3(5e-304, 15.0, 15.0))])
+
+
+@given(one_segment_worlds())
+@example(CUTOFF_ROW)
+@settings(max_examples=150, deadline=None)
+def test_segment_blocked_equals_one_row_batch(case):
+    """The scalar rejection in `segment_blocked` changes no verdict, and a
+    segment clear of every prism's box never reaches `segments_blocked`."""
+    env, rows = case
+    batched = world.segments_blocked
+    starts = [np.array([a.as_tuple()]) for a, _ in rows]
+    ends = [np.array([b.as_tuple()]) for _, b in rows]
+    want = [bool(batched(env, s, e)[0]) for s, e in zip(starts, ends)]
+    enters = [any(world._clip_to_aabb(s, e - s, *prism.aabb())[2][0]
+                  for prism in env.known_obstacles) for s, e in zip(starts, ends)]
+    got, called = [], []
+    with mock.patch.object(world, "segments_blocked", wraps=batched) as spy:
+        for a, b in rows:
+            before = spy.call_count
+            got.append(segment_blocked(env, a, b))
+            called.append(spy.call_count > before)
+    assert got == want
+    assert called == enters
+
+
+@given(st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 6))
+@example((1.0, -2.0, 3.0, 1.0, -2.0, 3.0))
+@example((1e200, 0.0, 0.0, -1e200, 0.0, 0.0))
+def test_dist_to_is_norm_of_difference(coords):
+    """Bit for bit `(a - b).norm()`, and the same ValueError when a
+    coordinate of the difference overflows."""
+    a, b = Vec3(*coords[:3]), Vec3(*coords[3:])
+    try:
+        want = (a - b).norm()
+    except ValueError:
+        with pytest.raises(ValueError):
+            a.dist_to(b)
+        return
+    assert a.dist_to(b).hex() == want.hex()
+
+
+def test_dist_to_rejects_an_overflowing_difference():
+    with pytest.raises(ValueError):
+        Vec3(1e308, 0, 0).dist_to(Vec3(-1e308, 0, 0))
+
+
 def test_shadow_false_without_obstacles():
     env = empty_env()
     for p in (Vec3(1, 1, 1), Vec3(99, 99, 99), Vec3(50, 50, 0)):
