@@ -194,7 +194,7 @@ def pursuit_lookahead(waypoints: Sequence[Vec3], p: Vec3, lookahead: float) -> V
     for i in range(nearest, len(waypoints) - 1):
         a, b = waypoints[i], waypoints[i + 1]
         seg = a.dist_to(b)
-        if remaining <= seg:
+        if 0.0 < seg and remaining <= seg:
             u = remaining / seg
             return Vec3(a.x + u * (b.x - a.x), a.y + u * (b.y - a.y),
                         a.z + u * (b.z - a.z))

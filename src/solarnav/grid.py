@@ -14,7 +14,7 @@ from .world import SEGMENT_BLOCK, Environment, Vec3, clear_of_prisms, segments_b
 # in_shadow stays importable here: bench/tracing.py binds it on this module.
 from .world import in_shadow  # noqa: F401
 
-MAX_GRID_NODES = 1_000_000  # build_grid peaks near 0.2 kB per node (218 MB RSS at 960k)
+MAX_GRID_NODES = 1_000_000  # build_grid peaks near 0.18 kB per node (173 MB RSS at 960k)
 
 
 class EmptyGrid(Exception):
@@ -199,6 +199,20 @@ def build_grid(env: Environment, resolution: float, margin: float = 2.0,
     every prism by `margin`; edges whose straight segment intersects a prism
     surface are removed. Every edge annotation is computed here, once.
     Raises EmptyGrid when no free node exists.
+
+    A broad phase on the lattice decides which rows reach `segments_blocked`:
+    the edges whose source lies in the index box of the nodes within one
+    spacing of a prism's AABB, widened by one index, and the midpoints inside
+    a prism's sun window on their layer (`_sun_windows`). In exact
+    arithmetic every other edge stays more than a spacing from each AABB
+    along one axis, and every other sun ray misses each AABB grown by half a
+    step, so it stays at least that far from it at every point. Rounding
+    shifts the slab clip's quotients in `_blocked_block` by a few ulps of the
+    largest coordinate over the segment's length, far less than those gaps
+    unless the coordinates exceed some 1e13 steps, so the clip would reject
+    each skipped row. Skipped edges are therefore kept and skipped midpoints
+    lit, as the test of every row would find, and `edge_ok` and `shadow` are
+    the same bits.
     """
     if resolution <= 0:
         raise ValueError("resolution must be positive")
@@ -227,31 +241,41 @@ def build_grid(env: Environment, resolution: float, margin: float = 2.0,
     n_off = offsets.shape[0]
     deltas = lattice.flat_of(*offsets.T)
     edge_ok = np.zeros((n_off, nx, ny, nz), dtype=bool)
+    # offsets[n_off - 1 - k] == -offsets[k]: each undirected edge is set and
+    # tested once, from its source along k < n_off // 2.
+    for k in range(n_off // 2):
+        src, dst = _pair_slices(free.shape, offsets[k])
+        edge_ok[k][src] = edge_ok[n_off - 1 - k][dst] = free[src] & free[dst]
     flat_ok = edge_ok.reshape(n_off, -1)
-    # offsets[n_off - 1 - k] == -offsets[k]: test each undirected edge once,
-    # from the source nodes whose target along k is free too.
-    sources = ((k, _edge_sources(free, offsets[k])) for k in range(n_off // 2))
+    near = np.zeros(free.shape, dtype=bool)
+    for prism in env.known_obstacles:
+        box = zip(*prism.aabb(), lattice.origin, free.shape)
+        near[tuple(_index_window(low - resolution, high + resolution, o, resolution, n)
+                   for low, high, o, n in box)] = True
+    near = near.reshape(-1)
+    sources = ((k, np.flatnonzero(flat_ok[k] & near)) for k in range(n_off // 2))
     for block in _row_blocks(sources, SEGMENT_BLOCK):
         starts = points[np.concatenate([src for _, src in block])]
         ends = starts + np.repeat(offsets[[k for k, _ in block]],
                                   [len(src) for _, src in block], axis=0) * resolution
-        clear = ~segments_blocked(env, starts, ends)
+        blocked = segments_blocked(env, starts, ends)
         row = 0
         for k, src in block:
-            ok = src[clear[row:row + len(src)]]
+            cut = src[blocked[row:row + len(src)]]
             row += len(src)
-            flat_ok[k, ok] = True
-            flat_ok[n_off - 1 - k, ok + deltas[k]] = True
+            flat_ok[k, cut] = False
+            flat_ok[n_off - 1 - k, cut + deltas[k]] = False
 
     # Edge midpoints lie on the half-step lattice, where node i sits at index
     # 2 * i + 1 and the midpoint of its edge along k at 2 * i + 1 + offsets[k].
     # Up to four edges (the diagonals of a face or a cube) share a midpoint;
-    # each midpoint is shadow-tested once.
+    # each midpoint is shadow-tested once, and only inside a sun window.
     mid_views = [tuple(slice(1 + d, 1 + d + 2 * n, 2) for d, n in zip(off, (nx, ny, nz)))
                  for off in offsets.tolist()]
     half = np.zeros((2 * nx + 1, 2 * ny + 1, 2 * nz + 1), dtype=bool)
     for k, view in enumerate(mid_views):
         half[view] |= edge_ok[k]
+    half &= _sun_windows(env, lattice.origin, resolution / 2.0, half.shape)
     flat_half = half.reshape(-1)
     marked = np.flatnonzero(flat_half)
     sun = env.sun.position.as_array()
@@ -272,19 +296,58 @@ def build_grid(env: Environment, resolution: float, margin: float = 2.0,
                    shadow=shadow, lit_gain=lit_gain)
 
 
-def _edge_sources(free: np.ndarray, offset: np.ndarray) -> np.ndarray:
-    """Flat indices of the free nodes whose neighbour along `offset` is free."""
-    nx, ny, nz = free.shape
-    dx, dy, dz = offset.tolist()
-    src = np.zeros(free.shape, dtype=bool)
-    sl_src = (slice(max(0, -dx), nx - max(0, dx)),
-              slice(max(0, -dy), ny - max(0, dy)),
-              slice(max(0, -dz), nz - max(0, dz)))
-    sl_dst = (slice(max(0, dx), nx - max(0, -dx)),
-              slice(max(0, dy), ny - max(0, -dy)),
-              slice(max(0, dz), nz - max(0, -dz)))
-    src[sl_src] = free[sl_src] & free[sl_dst]
-    return np.flatnonzero(src)
+def _pair_slices(shape: Tuple[int, int, int], offset: np.ndarray) -> Tuple[tuple, tuple]:
+    """Slices of the source and the target nodes of every node pair one
+    `offset` apart inside a lattice of `shape`."""
+    src, dst = [], []
+    for d, n in zip(offset.tolist(), shape):
+        src.append(slice(max(0, -d), n - max(0, d)))
+        dst.append(slice(max(0, d), n - max(0, -d)))
+    return tuple(src), tuple(dst)
+
+
+def _index_window(lo: float, hi: float, origin: float, step: float, n: int) -> slice:
+    """The indices i in [0, n) whose coordinate origin + i * step lies in
+    [lo, hi], widened by one index on each side."""
+    first = math.ceil((lo - origin) / step) - 1
+    last = math.floor((hi - origin) / step) + 1
+    return slice(min(max(first, 0), n), min(max(last + 1, 0), n))
+
+
+def _sun_windows(env: Environment, origin: np.ndarray, step: float,
+                 shape: Tuple[int, int, int]) -> np.ndarray:
+    """Which points of the half-step lattice of `shape` (point j at origin +
+    (j - 1) * step) may have their ray from the sun meet a prism's AABB.
+
+    Each prism's AABB is grown by `step`. On a z-layer the ray S + t (p - S)
+    lies in the grown box's z-slab for t in [t0, t1], and there p's x (and y)
+    must lie between S + (lo - S) / t and S + (hi - S) / t. Both ends move
+    monotonically in 1 / t, so the extremes of the four values at t0 and t1
+    bound the window, widened by one index. The window is empty when [t0, t1]
+    is, as for a level ray outside the slab. It is not finite when t0 is 0,
+    that is when the sun's z lies in the slab, and then covers the layer."""
+    reach = np.zeros(shape, dtype=bool)
+    sun = env.sun.position.as_array()
+    zs = origin[2] + (np.arange(shape[2]) - 1) * step
+    for prism in env.known_obstacles:
+        lo, hi = prism.aabb()
+        lo, hi = lo - step, hi + step
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            ta, tb = (lo[2] - sun[2]) / (zs - sun[2]), (hi[2] - sun[2]) / (zs - sun[2])
+            ts = np.stack((np.maximum(np.minimum(ta, tb), 0.0),
+                           np.minimum(np.maximum(ta, tb), 1.0)))
+            ends = [sun[a] + (np.array([[lo[a]], [hi[a]]])[:, :, None] - sun[a]) / ts
+                    for a in (0, 1)]
+        windows = [(e.min(axis=(0, 1)), e.max(axis=(0, 1))) for e in ends]
+        bounded = np.all(np.isfinite(windows), axis=(0, 1))
+        for j in np.flatnonzero(~(ts[0] > ts[1])):  # a NaN (0 / 0) range is kept
+            if bounded[j]:
+                sx, sy = (_index_window(w_lo[j], w_hi[j], o - step, step, n)
+                          for (w_lo, w_hi), o, n in zip(windows, origin, shape))
+                reach[sx, sy, j] = True
+            else:
+                reach[:, :, j] = True
+    return reach
 
 
 def _row_blocks(pieces: Iterable[Tuple[int, np.ndarray]],

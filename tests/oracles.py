@@ -7,7 +7,8 @@ against every prism in one pass instead of a broad phase and row blocks,
 array indexing per offset instead of plain-list neighbours, doubling
 and bisection on Vec3 points instead of a closed-form bracket, dense
 resampling instead of arc-length walking, per-edge scalar evaluation instead
-of per-offset tables and a batched shadow mask, product-graph search instead
+of per-offset tables and a batched shadow mask, every lattice row tested
+instead of a broad phase on the lattice, product-graph search instead
 of label-setting A*, uniform-cost search with no heuristic instead of A*,
 Pareto buckets instead of one best energy per node, recursion/enumeration
 instead of layered DP tables, and a scalar per-(layer, node, move) DP instead
@@ -25,7 +26,7 @@ import numpy as np
 
 from solarnav import (BatteryState, ConsumptionParams, EdgeCost, Environment, NavGrid,
                       NoPath, Path, Prism, PrivacyRegion, Vec3, gamma, in_shadow,
-                      incidence_cosine, is_collision, segment_blocked)
+                      incidence_cosine, is_collision, segment_blocked, segments_blocked)
 from solarnav.privacy import DpLattice
 
 
@@ -164,6 +165,35 @@ def reference_neighbors(grid: NavGrid, flat: int) -> List[Tuple[int, int]]:
             dx, dy, dz = grid.offsets[k]
             out.append((int(((ix + dx) * ny + iy + dy) * nz + iz + dz), k))
     return out
+
+
+def reference_grid_masks(grid: NavGrid) -> Tuple[np.ndarray, np.ndarray]:
+    """`edge_ok` and `shadow` of `grid` with no broad phase: every pair of
+    free nodes one offset apart, and then the midpoint of every edge, goes
+    through `segments_blocked`. Offset k < K // 2 and its reverse share the
+    verdict of the segment from the source along k, as in `build_grid`."""
+    idx = grid.indices()
+    starts = grid.node_coords(idx)
+    free = grid.free.reshape(-1)
+    n_off = grid.offsets.shape[0]
+    edge_ok = np.zeros((n_off, grid.node_count), dtype=bool)
+    for k in range(n_off // 2):
+        off = grid.offsets[k]
+        src = np.flatnonzero(np.all((idx + off >= 0) & (idx + off < grid.dims), axis=1))
+        dst = grid.flat_of(*(idx[src] + off).T)
+        pair = free[src] & free[dst]
+        src, dst = src[pair], dst[pair]
+        ok = ~segments_blocked(grid.env, starts[src], starts[src] + off * grid.spacing)
+        edge_ok[k, src[ok]] = True
+        edge_ok[n_off - 1 - k, dst[ok]] = True
+    shadow = np.zeros_like(edge_ok)
+    sun = grid.env.sun.position.as_array()
+    for k, off in enumerate(grid.offsets):
+        at = np.flatnonzero(edge_ok[k])
+        mids = grid.origin + (2 * idx[at] + off) * (grid.spacing / 2.0)
+        shadow[k, at] = segments_blocked(grid.env, np.broadcast_to(sun, mids.shape), mids)
+    shape = (n_off,) + tuple(grid.dims)
+    return edge_ok.reshape(shape), shadow.reshape(shape)
 
 
 def reference_edge_cost(grid: NavGrid, a: int, b: int) -> EdgeCost:

@@ -105,6 +105,14 @@ def test_lookahead_ties_go_to_the_lowest_index():
     assert pursuit_lookahead(path, Vec3(0.0, 0.0, 0.0), 1.0) == Vec3(0.0, 4.0, 0.0)
 
 
+def test_lookahead_skips_zero_length_segments():
+    """A zero lookahead from a repeated nearest waypoint passes over the
+    zero-length segment instead of dividing 0 by 0."""
+    assert pursuit_lookahead([Vec3(0, 0, 0)] * 2, Vec3(0, 0, 0), 0.0) == Vec3(0, 0, 0)
+    path = [Vec3(0, 0, 0), Vec3(0, 0, 0), Vec3(4, 0, 0)]
+    assert pursuit_lookahead(path, Vec3(0, 0, 0), 0.0) == Vec3(0, 0, 0)
+
+
 def _lookahead_by_min_key(waypoints, p, lookahead):
     """The nearest waypoint by `min(key=(dist, i))`, then the arc walk."""
     nearest = min(range(len(waypoints)), key=lambda i: ((p - waypoints[i]).norm(), i))

@@ -6,16 +6,16 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from solarnav import (Box, ConsumptionParams, DpLattice, EmptyGrid, EnergyModel, Environment,
                       HarvestModel, HarvestParams, Prism, SunModel, Vec3, build_grid,
-                      energy_edge_cost, segment_blocked)
+                      energy_edge_cost, segment_blocked, segments_blocked)
 from solarnav.privacy import _lattice_offsets
 
 from conftest import empty_env, env_with, random_env
-from oracles import reference_edge_cost, reference_neighbors
+from oracles import reference_edge_cost, reference_grid_masks, reference_neighbors
 
 
 def test_empty_world_node_count():
@@ -224,3 +224,91 @@ def test_lattice_indexing_round_trips(dims, origin, spacing):
             for p in (last.as_array() + step, first.as_array() - step):
                 with pytest.raises(ValueError, match="outside the lattice"):
                     lat.index_of_point(Vec3.from_array(p))
+
+
+def _sun_at(env: Environment, position: Vec3) -> Environment:
+    """`env` with its sun moved to `position`. The Environment check keeps the
+    sun above every prism top; the grid's broad phase does not rely on it."""
+    object.__setattr__(env, "sun", SunModel(position))
+    return env
+
+
+@st.composite
+def broad_phase_worlds(draw):
+    """A small lattice with prisms that may cross the bounds, and a sun above,
+    level with the top of, inside the z-range of, below or inside the first
+    prism, or at the height of a half-step layer."""
+    res = draw(st.sampled_from([2.5, 4.0, 7.3]))
+    planar = draw(st.booleans())
+    dims = (draw(st.integers(2, 8)), draw(st.integers(2, 8)), draw(st.integers(2, 6)))
+    lo = np.array([draw(st.sampled_from([0.0, -3.7, 11.31])) for _ in range(3)])
+    hi = lo + (np.array(dims) - 0.5) * res
+    prisms = []
+    for _ in range(draw(st.integers(1, 3))):
+        center = [draw(st.floats(float(a), float(b))) for a, b in zip(lo, hi)]
+        axes = tuple(draw(st.floats(res, res + 0.6 * float(hi[0] - lo[0]))) for _ in range(3))
+        exps = tuple(draw(st.sampled_from([1, 2, 3, 10])) for _ in range(3))
+        prisms.append(Prism(Vec3(*center), axes, exps))
+    env = Environment(Box(Vec3(*lo), Vec3(*hi)), tuple(prisms),
+                      sun=SunModel(Vec3(0.0, 0.0, float(hi[2]) + 1e4)))
+    box_lo, box_hi = prisms[0].aabb()
+    xy = [draw(st.floats(float(a) - 80.0, float(b) + 80.0)) for a, b in zip(lo[:2], hi[:2])]
+    place = draw(st.sampled_from(["above", "level", "z-range", "below", "inside", "layer"]))
+    if place == "above":
+        z = float(box_hi[2]) + draw(st.floats(0.1, 100.0))
+    elif place == "level":
+        z = float(box_hi[2])
+    elif place == "z-range":
+        xy[0] = float(box_hi[0]) + draw(st.floats(0.1, 20.0))
+        z = draw(st.floats(float(box_lo[2]), float(box_hi[2])))
+    elif place == "below":
+        z = float(box_lo[2]) - draw(st.floats(0.1, 40.0))
+    elif place == "inside":
+        xy = [draw(st.floats(float(a), float(b))) for a, b in zip(box_lo[:2], box_hi[:2])]
+        z = float(prisms[0].center.z)
+    else:
+        z = float(lo[2]) + (draw(st.integers(0, 2 * dims[2])) - 1) * (res / 2.0)
+    planar_z = draw(st.floats(float(lo[2]), float(hi[2]))) if planar else None
+    margin = draw(st.sampled_from([0.0, 1.5]))
+    return _sun_at(env, Vec3(xy[0], xy[1], z)), res, planar_z, margin
+
+
+@settings(max_examples=80, deadline=None)
+@given(world=broad_phase_worlds())
+def test_build_grid_equals_the_all_rows_oracle(world):
+    """The lattice broad phase changes no bit of edge_ok or shadow against
+    testing every free pair and every edge midpoint."""
+    env, res, planar_z, margin = world
+    try:
+        grid = build_grid(env, res, margin=margin, planar_z=planar_z)
+    except EmptyGrid:
+        assume(False)
+    edge_ok, shadow = reference_grid_masks(grid)
+    assert np.array_equal(grid.edge_ok, edge_ok)
+    assert np.array_equal(grid.shadow, shadow)
+
+
+def test_build_grid_tests_only_rows_near_a_prism(monkeypatch):
+    """With one small prism in a corner, every edge sent to segments_blocked
+    starts within two spacings of its box, and fewer rows are sent than 15%
+    of the edges (testing every row sends more than one per edge); a world
+    without prisms sends none."""
+    calls = []
+
+    def record(env, starts, ends):
+        calls.append(np.array(starts))
+        return segments_blocked(env, starts, ends)
+
+    monkeypatch.setattr("solarnav.grid.segments_blocked", record)
+    build_grid(empty_env(100.0), 5.0)
+    assert calls == []
+
+    prism = Prism(Vec3(15, 15, 15), (10, 10, 15), (2, 2, 2))
+    grid = build_grid(env_with([prism]), 5.0, margin=1.0)
+    rows = np.concatenate(calls)
+    sun = grid.env.sun.position.as_array()
+    edge_starts = rows[~np.all(rows == sun, axis=1)]
+    lo, hi = prism.aabb()
+    assert len(edge_starts) and np.all((edge_starts >= lo - 10.0) & (edge_starts <= hi + 10.0))
+    pairs = int(grid.edge_ok.sum()) // 2
+    assert len(rows) < 0.15 * pairs
