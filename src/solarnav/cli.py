@@ -71,10 +71,10 @@ def _planned(sc, name: str, grid):
 
 def _emit(sc, path: Optional[str], **body) -> None:
     """Write the scenario's report to `path`, if given, and echo it."""
-    payload = {"scenario": sc.name, "digest": scenario_digest(sc), **body}
+    text = report_text({"scenario": sc.name, "digest": scenario_digest(sc), **body})
     if path:
-        write_report(payload, path)
-    click.echo(report_text(payload), nl=False)
+        write_report(text, path)
+    click.echo(text, nl=False)
 
 
 @click.group()

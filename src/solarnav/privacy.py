@@ -15,6 +15,7 @@ from .world import Environment, PrivacyRegion, Vec3, clear_of_prisms, segment_bl
 
 MAX_DP_STATES = 1_000_000  # nodes within m_layers steps of pf x (m_layers + 1)
 STAGE_SAMPLES = 16  # risk samples per DP stage
+TABLE_BLOCK = 1 << 14  # table rows per segment-test and stage-cost pass
 
 
 class Unreachable(Exception):
@@ -225,7 +226,10 @@ def plan_privacy_dp(env: Environment, p0: Vec3, pf: Vec3, m_layers: int,
     takes each layer's minimum over moves in ascending successor index (ties
     go to the smallest successor index). Only nodes within m_layers steps of
     pf, and moves into nodes within m_layers - 1 steps, are tabulated: no
-    other node or move lies on a path that reaches pf in time.
+    other node or move lies on a path that reaches pf in time. The (node,
+    move) rows of all moves are tested in blocks of TABLE_BLOCK rows, each
+    with one core test and one stage-cost call; the block size caps the
+    temporaries at the state budget, and every row gets the same floats.
     Raises Unreachable when p0 belongs to no reachable layer.
     """
     origin, pitch, dims = dp_lattice_dims(env, pf, m_layers, t_max, v_max, pitch, planar)
@@ -245,25 +249,31 @@ def plan_privacy_dp(env: Environment, p0: Vec3, pf: Vec3, m_layers: int,
     points = lattice.node_coords(idx)
     node_ok = _nodes_ok(env, points)
     into_ok = node_ok & (np.abs(idx - pf_idx).max(axis=1) < m_layers)
-    regions = env.privacy_regions
 
     # Tables: column j holds move ks[j] from every node. Columns ascend in
     # offset (dx, dy, dz), so each node's successors ascend in flat index.
+    # The rows (pred, j) are gathered column by column, then tested in that
+    # order TABLE_BLOCK at a time; the blocks share `verdicts`, so segment
+    # tests run in the per-column order and a move and its reverse share one.
     offsets = lattice.offsets
     speed_ok = np.linalg.norm(offsets * pitch, axis=1) <= v_max * delta * (1 + 1e-9)
-    ks = sorted(np.flatnonzero(speed_ok).tolist(), key=lambda k: tuple(offsets[k]))
-    box_delta = offsets @ np.array([box[1] * box[2], box[2], 1])
+    ks = np.array(sorted(np.flatnonzero(speed_ok).tolist(), key=lambda k: tuple(offsets[k])))
+    moved = idx[:, None, :] + offsets[ks]
+    inside = node_ok[:, None] & ((moved >= box_lo) & (moved < box_hi)).all(axis=2)
+    col, pred = np.nonzero(inside.T)
+    to = pred + (offsets[ks] @ np.array([box[1] * box[2], box[2], 1]))[col]
+    col, pred, to = (x[into_ok[to]] for x in (col, pred, to))
     succ = np.full((n_nodes, len(ks)), n_nodes)        # n_nodes: no move, V = inf
     cost = np.zeros((n_nodes, len(ks)))
     verdicts: Dict[Tuple[int, int], bool] = {}
-    for j, k in enumerate(ks):
-        q_idx = idx + offsets[k]
-        pred = np.flatnonzero(node_ok & np.all((q_idx >= box_lo) & (q_idx < box_hi), axis=1))
-        pred = pred[into_ok[pred + box_delta[k]]]
-        if k != 0:
-            pred = pred[_clear_moves(env, pred, pred + box_delta[k], points, verdicts)]
-        succ[pred, j] = pred + box_delta[k]
-        cost[pred, j] = _stage_costs(points[pred], points[pred + box_delta[k]], regions, delta)
+    for b in range(0, len(col), TABLE_BLOCK):
+        c, p, q = col[b:b + TABLE_BLOCK], pred[b:b + TABLE_BLOCK], to[b:b + TABLE_BLOCK]
+        ok = p == q  # a hold move has no segment to test
+        ok[~ok] = _clear_moves(env, p[~ok], q[~ok], points, verdicts)
+        c, p, q = c[ok], p[ok], q[ok]
+        succ[p, c] = q
+        cost[p, c] = _stage_costs(points[p], points[q], env.privacy_regions, delta)
+    del moved, inside, col, pred, to, verdicts  # freed before the backup fills its dicts
 
     values: List[Dict[int, float]] = [dict() for _ in range(m_layers + 1)]
     moves: List[Dict[int, int]] = [dict() for _ in range(m_layers + 1)]
@@ -272,14 +282,13 @@ def plan_privacy_dp(env: Environment, p0: Vec3, pf: Vec3, m_layers: int,
     value = np.full(n_nodes + 1, math.inf)
     value[np.ravel_multi_index(pf_idx - box_lo, box)] = 0.0
     nodes = np.arange(n_nodes)
-    move_of_column = np.array(ks)
     for i in range(m_layers - 1, -1, -1):
         cand = value[succ] + cost
         col = cand.argmin(axis=1)
         value[:n_nodes] = cand[nodes, col]
         live = np.flatnonzero(value[:n_nodes] < math.inf)
         values[i] = dict(zip(flat[live].tolist(), value[live].tolist()))
-        moves[i] = dict(zip(flat[live].tolist(), move_of_column[col[live]].tolist()))
+        moves[i] = dict(zip(flat[live].tolist(), ks[col[live]].tolist()))
     lattice.values = values
     lattice.moves = moves
 

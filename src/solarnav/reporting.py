@@ -16,19 +16,16 @@ from .simulate import Scenario, SimLog, min_separation, shadowed_at
 from .world import Vec3
 
 CSV_HEADER = "t,x,y,z,theta,v,u,battery,shadow,mode,min_dist"
-
-
-def _num(x: float) -> str:
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return format(float(x), ".9g")
+_CSV_ROW = "%.9g,%.9g,%.9g,%.9g,%.9g,%.9g,%.9g,%.9g,%d,%s,%.9g"
+# libyaml's emitter when PyYAML was built with it: the representer is the
+# pure-Python dumper's, so the reports read the same.
+_YAML_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
 
 def _row(t: float, x: float, y: float, z: float, theta: float, v: float, u: float,
          battery: float, shadow: bool, mode: str, min_dist: float) -> str:
     """One CSV line, in the column order of CSV_HEADER."""
-    return ",".join([*map(_num, (t, x, y, z, theta, v, u, battery)),
-                     "1" if shadow else "0", mode, _num(min_dist)])
+    return _CSV_ROW % (t, x, y, z, theta, v, u, battery, shadow, mode, min_dist)
 
 
 def _write_rows(rows: List[str], path: str) -> None:
@@ -124,10 +121,10 @@ def plan_summary(plan: Path, sc: Scenario) -> Dict[str, float]:
     }
 
 
-def write_report(data: Dict, path: str) -> None:
+def write_report(text: str, path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(report_text(data))
+        fh.write(text)
 
 
 def report_text(data: Dict) -> str:
-    return yaml.safe_dump(data, sort_keys=True, default_flow_style=False)
+    return yaml.dump(data, Dumper=_YAML_DUMPER, sort_keys=True, default_flow_style=False)

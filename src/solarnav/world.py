@@ -370,7 +370,7 @@ def _segments_meet_prism(starts: np.ndarray, dirs: np.ndarray, prism: Prism,
         g = g_at(m)
         if it in _EXIT_CHECKS:
             g_max = np.maximum(np.maximum(ga, gb), np.maximum(g[0], g[1]))
-            with np.errstate(divide="ignore"):  # an empty bracket (b - a = +-0) gets no exit
+            with np.errstate(divide="ignore", over="ignore"):  # b - a zero or subnormal: no exit
                 margin = (1.0 + g_max) * (shape_eps + 64.0 * _UNIT_ROUNDOFF / np.abs(b - a))
             inside = np.minimum(g[0], g[1]) <= 1.0 - margin
             meets[rows[inside]] = True

@@ -6,6 +6,7 @@ import dataclasses
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 from click.testing import CliRunner
@@ -13,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from solarnav import MovingObstacle, Vec3, min_separation
-from solarnav import scenario_io
+from solarnav import cli, reporting, scenario_io
 from solarnav.cli import main
 from solarnav.reporting import contact_entry
 from solarnav.scenario_io import (SPEC, ParseError, ValidationError, load_scenario,
@@ -96,6 +97,56 @@ def test_libyaml_and_python_loaders_agree(tmp_path, monkeypatch):
             lines[-1].append(err.value.line)
     assert loaded[0] == loaded[1]
     assert lines[0] == lines[1] == [8, 7]
+
+
+DUMPERS = [yaml.SafeDumper] + ([yaml.CSafeDumper] if hasattr(yaml, "CSafeDumper") else [])
+
+
+@pytest.mark.skipif(len(DUMPERS) < 2, reason="PyYAML was built without libyaml")
+def test_libyaml_and_python_dumpers_agree(tmp_path, monkeypatch):
+    """Reports are dumped with libyaml when PyYAML has it. Both dumpers give
+    the same bytes for the preset plan, simulate and compare reports."""
+    runs = [["plan", "-s", "section4", "-p", "privacy"],
+            ["simulate", "-s", "section5", "-m", "hybrid"],
+            ["compare", "-s", "section4", "-p", "energy,privacy"]]
+    reports = []
+    for dumper in DUMPERS:
+        monkeypatch.setattr(reporting, "_YAML_DUMPER", dumper)
+        reports.append([])
+        for i, args in enumerate(runs):
+            out = tmp_path / f"{dumper.__name__}-{i}.yaml"
+            flag = "-o" if args[0] == "compare" else "-r"
+            result = CliRunner().invoke(main, [*args, flag, str(out)])
+            assert result.exit_code == 0, result.output
+            assert out.read_text() == result.output
+            reports[-1].append(out.read_bytes())
+    assert reports[0] == reports[1]
+
+
+def test_report_is_dumped_once(tmp_path, monkeypatch):
+    """`plan -r` dumps its report once, for the file and the echo."""
+    calls = []
+    dump = cli.report_text
+    monkeypatch.setattr(cli, "report_text", lambda data: calls.append(data) or dump(data))
+    out = tmp_path / "plan.yaml"
+    result = CliRunner().invoke(main, ["plan", "-s", "section4", "-p", "privacy",
+                                       "-r", str(out)])
+    assert result.exit_code == 0, result.output
+    assert len(calls) == 1 and out.read_text() == result.output
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, -0.0, 5e-324,
+                                   np.float64(1.0 / 3.0), 7, True])
+@pytest.mark.parametrize("shadow", [False, True])
+def test_csv_row_formats_each_number_as_before(value, shadow):
+    """One format string per CSV row gives the old per-field `format(float(x),
+    ".9g")` text for each number, in each float column."""
+    for column in range(9):
+        nums = [0.5 * i for i in range(9)]
+        nums[column] = value
+        old = ",".join([*(format(float(x), ".9g") for x in nums[:8]),
+                        "1" if shadow else "0", "plan", format(float(nums[8]), ".9g")])
+        assert reporting._row(*nums[:8], shadow, "plan", nums[8]) == old
 
 
 def test_roundtrip_preserves_digest(tmp_path):

@@ -446,3 +446,39 @@ def test_dp_state_budget_counts_reachable_nodes(monkeypatch):
                             pitch=1e-320)
     with pytest.raises(ValueError, match="t_max"):
         plan_privacy_dp(env, Vec3(20, 100, 20), Vec3(140, 100, 20), 12, 0.0, 10.0)
+
+
+@pytest.mark.parametrize("block", [1, 4, 11])
+def test_blocked_tables_equal_one_block(monkeypatch, block):
+    """The tables' rows are gathered column by column and tested TABLE_BLOCK
+    at a time. Every row of this plan fits in one block, so it makes one
+    `_clear_moves` and one `_stage_costs` call. Blocks of a few rows split
+    columns (there are more blocks than the 27 columns), and some hold only
+    hold moves, which send `_clear_moves` no row; the values, moves, risk
+    and trajectory are the same, and so are the segment tests, in order."""
+    env = flat_env(size=120.0, regions=(PrivacyRegion(Vec3(60, 50, 20), 8.0, 70.0),),
+                   prisms=(Prism(Vec3(60, 80, 20), (12.0, 10.0, 30.0), (2, 2, 2)),))
+    segments, tested, costed = [], [], []
+    blocked, clear, stage = (privacy_mod.segment_blocked, privacy_mod._clear_moves,
+                             privacy_mod._stage_costs)
+    monkeypatch.setattr(privacy_mod, "segment_blocked",
+                        lambda *args: segments.append(args) or blocked(*args))
+    monkeypatch.setattr(privacy_mod, "_clear_moves",
+                        lambda env, pred, *args: tested.append(len(pred))
+                        or clear(env, pred, *args))
+    monkeypatch.setattr(privacy_mod, "_stage_costs",
+                        lambda pa, *args: costed.append(len(pa)) or stage(pa, *args))
+
+    def run():
+        for calls in (segments, tested, costed):
+            calls.clear()
+        plan = plan_privacy_dp(env, Vec3(0, 60, 20), Vec3(120, 60, 20), 8, 16.0, 25.0,
+                               pitch=20.0)
+        return (plan.lattice.values, plan.lattice.moves, plan.risk, plan.trajectory,
+                list(segments))
+
+    whole = run()
+    assert len(tested) == len(costed) == 1 and whole[2] > 0.0 and whole[4]
+    monkeypatch.setattr(privacy_mod, "TABLE_BLOCK", block)
+    assert run() == whole
+    assert len(tested) == len(costed) > 27 and 0 in tested

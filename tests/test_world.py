@@ -553,3 +553,15 @@ def test_sun_from_position_angles():
     sun2 = SunModel.from_position(Vec3(100, 0, 100), Vec3(0, 0, 0))
     assert sun2.azimuth == pytest.approx(0.0)
     assert sun2.elevation == pytest.approx(math.pi / 4)
+
+
+def test_subnormal_bracket_is_searched_without_a_warning():
+    """A bracket of subnormal width overflows the exit margin to inf, so the
+    row takes no early exit; the search still decides it, without a warning."""
+    prism = Prism(Vec3(0.0, 0.0, 0.0), (10.0, 10.0, 10.0), (4, 4, 4))
+    starts = np.array([[0.0, 0.0, 0.0], [0.0, 20.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        met = world._segments_meet_prism(starts, np.array([[1.0, 0.0, 0.0]] * 2), prism,
+                                         np.zeros(2), np.full(2, 5e-324))
+    assert met.tolist() == [True, False]
