@@ -89,45 +89,9 @@ def _map_endpoint(grid: NavGrid, p: Vec3, label: str) -> int:
     return flat
 
 
-def _reconstruct(parent: Dict[int, int], node: int) -> List[int]:
-    out = [node]
-    while node in parent:
-        node = parent[node]
-        out.append(node)
-    out.reverse()
-    return out
-
-
-def _astar_plain(grid: NavGrid, start: int, goal: int,
-                 edge_fn: Callable[[int, int, int], float],
-                 h_fn: Callable[[int], float]) -> Tuple[List[int], float]:
-    """Plain A* with lexicographic (f, node index) tie-breaking."""
-    g_best: Dict[int, float] = {start: 0.0}
-    parent: Dict[int, int] = {}
-    open_heap: List[Tuple[float, int]] = [(h_fn(start), start)]
-    closed = set()
-    while open_heap:
-        f, node = heapq.heappop(open_heap)
-        if node in closed:
-            continue
-        if node == goal:
-            return _reconstruct(parent, node), g_best[node]
-        closed.add(node)
-        g = g_best[node]
-        for nbr, k in grid.neighbors(node):
-            if nbr in closed:
-                continue
-            cand = g + edge_fn(node, nbr, k)
-            if cand < g_best.get(nbr, math.inf):
-                g_best[nbr] = cand
-                parent[nbr] = node
-                heapq.heappush(open_heap, (cand + h_fn(nbr), nbr))
-    raise NoPath("no route between the requested nodes")
-
-
-def _astar_battery(grid: NavGrid, start: int, goal: int, battery: BatteryState,
-                   edge_fn: Callable[[int, int, int], float],
-                   h_fn: Callable[[int], float]) -> Tuple[List[int], float]:
+def _astar(grid: NavGrid, start: int, goal: int, battery: Optional[BatteryState],
+           edge_fn: Callable[[int, int, int], float],
+           h_fn: Callable[[int], float]) -> Tuple[List[int], float]:
     """Label-setting A* over (node, battery energy), pruned BOA*-style.
 
     Labels pop in (f, node, g, -energy) order. A label is expanded only if it
@@ -146,13 +110,24 @@ def _astar_battery(grid: NavGrid, start: int, goal: int, battery: BatteryState,
     Both hold in exact arithmetic. In floating point two labels at a node can
     carry costs a few ulps apart; the one popped later is pruned on energy
     alone, so a tie between paths of equal cost may break otherwise than
-    under a full Pareto set."""
+    under a full Pareto set.
+
+    A label is not pushed if the last label pushed at its node (`last_g`,
+    `last_e`) has no more cost and no less energy: h depends only on the
+    node, so it would pop after that label and `best_e` would prune it, and
+    expansions and parents stay as they were. Without a battery every label
+    carries infinite energy (cap, floor, start energy = inf, -inf, inf):
+    `best_e` marks the closed nodes, the check is plain A*'s `g < g_best`,
+    and the search pushes and expands what plain A* in (f, node) order does."""
     n, nz = grid.node_count, grid.dims[2]
     shadow, e_out, lit_gain = grid.search_tables()
-    cap, floor = battery.capacity, battery.floor
+    cap, floor, e0 = ((math.inf, -math.inf, math.inf) if battery is None
+                      else (battery.capacity, battery.floor, battery.energy))
     labels: List[Tuple[int, int]] = [(-1, start)]  # (parent label, node)
     best_e: Dict[int, float] = {}
-    open_heap = [(h_fn(start), start, 0.0, -battery.energy, 0)]
+    last_g: Dict[int, float] = {}
+    last_e: Dict[int, float] = {}
+    open_heap = [(h_fn(start), start, 0.0, -e0, 0)]
     while open_heap:
         _, node, g, neg_e, label = heapq.heappop(open_heap)
         energy = -neg_e
@@ -172,9 +147,13 @@ def _astar_battery(grid: NavGrid, start: int, goal: int, battery: BatteryState,
             if new_e < floor or new_e <= best_e.get(nbr, -math.inf):
                 continue  # CheckBattery fails, or a label expanded at nbr dominates
             new_g = g + edge_fn(node, nbr, k)
+            if new_g >= last_g.get(nbr, math.inf) and new_e <= last_e[nbr]:
+                continue  # the last label pushed at nbr dominates
+            last_g[nbr], last_e[nbr] = new_g, new_e
             heapq.heappush(open_heap, (new_g + h_fn(nbr), nbr, new_g, -new_e, len(labels)))
             labels.append((label, nbr))
-    raise NoPath("no route satisfies the battery constraint")
+    raise NoPath("no route between the requested nodes" if battery is None
+                 else "no route satisfies the battery constraint")
 
 
 def _euclid_heuristic(grid: NavGrid, goal: int, rate: float) -> Callable[[int], float]:
@@ -239,16 +218,12 @@ def _plan(grid: NavGrid, battery: Optional[BatteryState], start: Vec3, goal: Vec
           edge_cost: Callable[[NavGrid], Callable[[int, int, int], float]],
           rate: float) -> Path:
     """Search driver of the grid planners: map both endpoints, search with
-    `edge_cost(grid)` and the heuristic `rate` x straight-line distance (over
-    battery labels when a battery is given) and annotate the path's edges."""
+    `edge_cost(grid)` and the heuristic `rate` x straight-line distance under
+    `battery` (unbounded energy when None) and annotate the path's edges."""
     s = _map_endpoint(grid, start, "start")
     g = _map_endpoint(grid, goal, "goal")
-    if s == g:
-        flats, cost = [s], 0.0
-    else:
-        fns = (edge_cost(grid), _euclid_heuristic(grid, g, rate))
-        flats, cost = (_astar_plain(grid, s, g, *fns) if battery is None
-                       else _astar_battery(grid, s, g, battery, *fns))
+    flats, cost = _astar(grid, s, g, battery, edge_cost(grid),
+                         _euclid_heuristic(grid, g, rate))
     path = Path([grid.node_point(f) for f in flats],
                 [grid.edge_cost(a, b) for a, b in zip(flats, flats[1:])], cost)
     return path if battery is None else attach_battery_profile(path, battery)
@@ -263,7 +238,7 @@ def plan_energy_efficient(grid: NavGrid, battery: Optional[BatteryState],
                           start: Vec3, goal: Vec3) -> Path:
     """Minimize net energy expenditure subject to the battery floor.
 
-    Pass battery=None for the unconstrained search (oracle comparisons)."""
+    With battery=None no floor or capacity binds: plain A* on the same cost."""
     return _plan(grid, battery, start, goal, energy_edge_cost, _energy_rate(grid))
 
 

@@ -10,6 +10,7 @@ resampling instead of arc-length walking, per-edge scalar evaluation instead
 of per-offset tables and a batched shadow mask, every lattice row tested
 instead of a broad phase on the lattice, product-graph search instead
 of label-setting A*, uniform-cost search with no heuristic instead of A*,
+node-keyed A* with a closed set instead of labels of infinite energy,
 Pareto buckets instead of one best energy per node, recursion/enumeration
 instead of layered DP tables, and a scalar per-(layer, node, move) DP instead
 of tables built once and backed up over whole layers.
@@ -360,6 +361,39 @@ def dijkstra_oracle(grid: NavGrid, edge_cost: Callable[[int, int, int], float],
     raise NoPath("no route between the requested nodes")
 
 
+def reference_plain_astar(grid: NavGrid, start: int, goal: int,
+                          edge_fn: Callable[[int, int, int], float],
+                          h_fn: Callable[[int], float]) -> Tuple[List[int], float]:
+    """Plain A* over nodes with a closed set and lexicographic (f, node index)
+    tie-breaking; `planning._astar` without a battery must push, expand and
+    return the same."""
+    g_best: Dict[int, float] = {start: 0.0}
+    parent: Dict[int, int] = {}
+    open_heap: List[Tuple[float, int]] = [(h_fn(start), start)]
+    closed = set()
+    while open_heap:
+        f, node = heapq.heappop(open_heap)
+        if node in closed:
+            continue
+        if node == goal:
+            flats = [node]
+            while flats[-1] in parent:
+                flats.append(parent[flats[-1]])
+            flats.reverse()
+            return flats, g_best[node]
+        closed.add(node)
+        g = g_best[node]
+        for nbr, k in grid.neighbors(node):
+            if nbr in closed:
+                continue
+            cand = g + edge_fn(node, nbr, k)
+            if cand < g_best.get(nbr, math.inf):
+                g_best[nbr] = cand
+                parent[nbr] = node
+                heapq.heappush(open_heap, (cand + h_fn(nbr), nbr))
+    raise NoPath("no route between the requested nodes")
+
+
 def reference_battery_search(grid: NavGrid, start: int, goal: int, battery: BatteryState,
                              edge_fn: Callable[[int, int, int], float],
                              h_fn: Callable[[int], float]) -> Tuple[List[int], float]:
@@ -368,7 +402,7 @@ def reference_battery_search(grid: NavGrid, start: int, goal: int, battery: Batt
     A label survives only if no other label at the node has both lower-or-equal
     cost and higher-or-equal energy; labels it dominates leave the bucket and
     are skipped when popped. Returns the node sequence and cost of the first
-    goal label popped, as `planning._astar_battery` does."""
+    goal label popped, as `planning._astar` does."""
     n, nz = grid.node_count, grid.dims[2]
     shadow, e_out, lit_gain = grid.search_tables()
     counter = 0

@@ -529,6 +529,8 @@ def test_dp_budget_is_checked_where_the_dp_runs(tmp_path, monkeypatch):
 
 
 def test_plan_failure_exits_one(tmp_path):
+    """A wall cuts the goal off: `plan` exits 1, and `compare` reports each
+    planner's no-route text, which differs with and without a battery."""
     doc = yaml.safe_load(MINIMAL)
     doc["world"]["prisms"] = [{"center": [100, 100, 60], "semi_axes": [30, 99, 59],
                                "exponents": [8, 8, 8]}]
@@ -536,7 +538,34 @@ def test_plan_failure_exits_one(tmp_path):
     path = write(tmp_path, yaml.safe_dump(doc))
     result = CliRunner().invoke(main, ["plan", "-s", path, "-p", "shortest"])
     assert result.exit_code == 1
-    assert "planning failed" in result.output
+    assert result.output == "planning failed: no route between the requested nodes\n"
+    result = CliRunner().invoke(main, ["compare", "-s", path, "-p", "shortest,energy"])
+    assert result.exit_code == 1
+    assert yaml.safe_load(result.output)["planners"] == {
+        "shortest": {"error": "no route between the requested nodes"},
+        "energy": {"error": "no route satisfies the battery constraint"}}
+
+
+def test_grid_build_failure_fails_only_the_grid_planners(tmp_path):
+    """A grid margin wider than the world leaves no free node: `compare` gives
+    each grid planner the build error and the privacy DP its `plan` row, and
+    `simulate` exits 1."""
+    doc = yaml.safe_load(MINIMAL)
+    doc["world"]["prisms"] = [{"center": [100, 30, 60], "semi_axes": [25, 25, 25],
+                               "exponents": [2, 2, 2]}]
+    doc["mission"].update(planar_z=60.0, grid_margin=1000.0)
+    path = write(tmp_path, yaml.safe_dump(doc))
+    runner = CliRunner()
+    result = runner.invoke(main, ["compare", "-s", path, "-p", "energy,time,shortest,privacy"])
+    assert result.exit_code == 0, result.output
+    rows = yaml.safe_load(result.output)["planners"]
+    privacy = runner.invoke(main, ["plan", "-s", path, "-p", "privacy"])
+    error = {"error": "environment has no collision-free lattice node"}
+    assert rows == {"energy": error, "time": error, "shortest": error,
+                    "privacy": yaml.safe_load(privacy.output)["metrics"]}
+    result = runner.invoke(main, ["simulate", "-s", path])
+    assert result.exit_code == 1
+    assert result.output == "planning failed: environment has no collision-free lattice node\n"
 
 
 def private_city(tmp_path) -> str:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,12 +16,14 @@ from solarnav import (BatteryState, Box, EmptyGrid, EnergyModel, Environment,
                       Vec3, build_grid, energy_edge_cost, length_edge_cost,
                       plan_energy_efficient, plan_shortest, plan_time_efficient,
                       time_edge_cost)
-from solarnav.planning import (_astar_battery, _energy_rate, _euclid_heuristic,
+from solarnav import planning
+from solarnav.planning import (_astar, _energy_rate, _euclid_heuristic,
                                _max_edge_speed)
 from solarnav.scenario_io import load_scenario
 
 from conftest import empty_env, env_with, fork_env, random_env
-from oracles import dijkstra_oracle, reference_battery_search
+import oracles
+from oracles import dijkstra_oracle, reference_battery_search, reference_plain_astar
 
 BIG_BATTERY = BatteryState(1e9, 1e9, 0.0)
 
@@ -218,25 +221,10 @@ _prism = st.tuples(_unit, st.tuples(*[st.floats(10.0, 25.0)] * 3),
                    st.sampled_from([(1, 1, 1), (2, 2, 2), (4, 4, 4), (2, 1, 3)]))
 
 
-@settings(max_examples=100, deadline=None)
-@given(dims=st.tuples(st.integers(2, 9), st.integers(2, 9), st.integers(1, 4)),
-       prisms=st.lists(_prism, max_size=2), mode=st.sampled_from(list(HarvestModel)),
-       sun=_unit, capacity=st.floats(50.0, 1500.0),
-       levels=st.tuples(st.floats(0.0, 0.8), st.floats(0.0, 1.0)),
-       ends=st.tuples(st.integers(0, 10 ** 6), st.integers(0, 10 ** 6)))
-def test_battery_search_matches_pareto_reference(dims, prisms, mode, sun, capacity,
-                                                 levels, ends):
-    """The best-energy-per-node search returns the same node sequence and the
-    exact cost as the Pareto-bucket reference, or NoPath with it, after the
-    same expansions in the same order, for the energy and the time objective.
-    Low suns cast long prism shadows, and small batteries make the floor bind.
-
-    Edge costs are rounded up, and heuristics down, to multiples of 1/1024,
-    so every cost sum is exact and the heuristics stay consistent. With the
-    unrounded costs, two labels at a node can carry costs a few ulps apart
-    that are equal in exact arithmetic: the reference compares those floats
-    as distinct costs, this search takes costs at a node as settled in pop
-    order, and the two can then break such a tie differently."""
+def _random_grid(dims, prisms, mode, sun):
+    """A 10 m grid of `dims` nodes with up to two prisms placed by unit
+    fractions of the bounds, or None when no node is free. Low suns cast long
+    prism shadows."""
     res = 10.0
     nx, ny, nz = dims
     planar = nz == 1
@@ -252,20 +240,81 @@ def test_battery_search_matches_pareto_reference(dims, prisms, mode, sun, capaci
                       sun=SunModel.from_position(sun_at, at((0.5, 0.5, 0.5))),
                       z_min=0.0, z_max=hi[2])
     try:
-        grid = build_grid(env, res, planar_z=20.0 if planar else None,
+        return build_grid(env, res, planar_z=20.0 if planar else None,
                           energy=EnergyModel(mode=mode))
     except EmptyGrid:
-        return
+        return None
+
+
+_dims = st.tuples(st.integers(2, 9), st.integers(2, 9), st.integers(1, 4))
+_prisms = st.lists(_prism, max_size=2)
+_modes = st.sampled_from(list(HarvestModel))
+_ends = st.tuples(st.integers(0, 10 ** 6), st.integers(0, 10 ** 6))
+
+
+def _endpoints(grid, ends):
     free = np.flatnonzero(grid.free.ravel()).tolist()
-    start, goal = free[ends[0] % len(free)], free[ends[1] % len(free)]
+    return free[ends[0] % len(free)], free[ends[1] % len(free)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(dims=_dims, prisms=_prisms, mode=_modes, sun=_unit, capacity=st.floats(50.0, 1500.0),
+       levels=st.tuples(st.floats(0.0, 0.8), st.floats(0.0, 1.0)), ends=_ends)
+def test_battery_search_matches_pareto_reference(dims, prisms, mode, sun, capacity,
+                                                 levels, ends):
+    """The best-energy-per-node search returns the same node sequence and the
+    exact cost as the Pareto-bucket reference, or NoPath with it, after the
+    same expansions in the same order, for the energy and the time objective.
+    Small batteries make the floor bind.
+
+    Edge costs are rounded up, and heuristics down, to multiples of 1/1024,
+    so every cost sum is exact and the heuristics stay consistent. With the
+    unrounded costs, two labels at a node can carry costs a few ulps apart
+    that are equal in exact arithmetic: the reference compares those floats
+    as distinct costs, this search takes costs at a node as settled in pop
+    order, and the two can then break such a tie differently."""
+    grid = _random_grid(dims, prisms, mode, sun)
+    if grid is None:
+        return
+    start, goal = _endpoints(grid, ends)
     floor = levels[0] * capacity
     battery = BatteryState(floor + levels[1] * (capacity - floor), capacity, floor)
     for cost, h in _objectives(grid, goal):
         args = (start, goal, battery,
                 lambda a, b, k, cost=cost: math.ceil(cost(a, b, k) * 1024) / 1024,
                 lambda n, h=h: math.floor(h(n) * 1024) / 1024)
-        assert _expansions(_astar_battery, grid, *args) == \
+        assert _expansions(_astar, grid, *args) == \
             _expansions(reference_battery_search, grid, *args)
+
+
+def _pushes(module, search, grid, *args):
+    """`_expansions` of `search`, and the number of heappush calls `module`
+    made during it."""
+    real, pushes = module.heapq, []
+    module.heapq = SimpleNamespace(heappop=real.heappop,
+                                   heappush=lambda h, x: pushes.append(x) or real.heappush(h, x))
+    try:
+        return _expansions(search, grid, *args), len(pushes)
+    finally:
+        module.heapq = real
+
+
+@settings(max_examples=300, deadline=None)
+@given(dims=_dims, prisms=_prisms, mode=_modes, sun=_unit, ends=_ends)
+def test_battery_free_search_matches_plain_astar(dims, prisms, mode, sun, ends):
+    """Without a battery the label search returns plain A*'s node sequence and
+    cost, as the same float, or NoPath with it, after the same expansions in
+    the same order, and pushes as many heap entries, for the energy, time and
+    length costs: with infinite energy the last-push check is plain A*'s
+    `cand < g_best` test."""
+    grid = _random_grid(dims, prisms, mode, sun)
+    if grid is None:
+        return
+    start, goal = _endpoints(grid, ends)
+    for cost, h in _objectives(grid, goal) + [(length_edge_cost(grid),
+                                               _euclid_heuristic(grid, goal, 1.0))]:
+        assert _pushes(planning, _astar, grid, start, goal, None, cost, h) == \
+            _pushes(oracles, reference_plain_astar, grid, start, goal, cost, h)
 
 
 @pytest.mark.parametrize("resolution", [20.0, 10.0])
@@ -279,7 +328,7 @@ def test_battery_search_matches_pareto_reference_on_section4(resolution):
     start, goal = grid.index_of_point(sc.start), grid.index_of_point(sc.goal)
     for cost, h in _objectives(grid, goal):
         args = (start, goal, sc.battery, cost, h)
-        got, got_nodes = _expansions(_astar_battery, grid, *args)
+        got, got_nodes = _expansions(_astar, grid, *args)
         want, want_nodes = _expansions(reference_battery_search, grid, *args)
         assert got == want
         assert sorted(got_nodes) == sorted(want_nodes)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,10 +10,11 @@ import pytest
 
 from solarnav import (BatteryState, Box, Environment, Mode, MovingObstacle,
                       PlanningFailed, Prism, Scenario, SimLog, StepRecord,
-                      SunModel, Vec3, compute_metrics, energy_audit,
+                      SunModel, UavState, Vec3, compute_metrics, energy_audit,
                       run_scenario, shadowed_at, step_obstacles)
 from solarnav.reporting import trajectory_csv_rows
 from solarnav.scenario_io import load_scenario
+from solarnav.simulate import _replanned_waypoints, scenario_grid
 
 
 def open_world_scenario(length=400.0, obstacles=(), max_duration=80.0,
@@ -183,6 +185,24 @@ def test_replan_after_avoidance_still_reaches_goal():
     # Replanning stays deterministic.
     log2, m2 = run_scenario(load_scenario("section5"), mode="hybrid", replan=True)
     assert m == m2
+
+
+@pytest.mark.parametrize("position, energy", [
+    (Vec3(159.0, 40.0, 100.0), 670.0),  # nearest node (160, 40) lies on the prism
+    (Vec3(20.0, 120.0, 100.0), 50.0),   # at the floor, and every move loses energy
+])
+def test_replan_falls_back_to_the_old_reference(position, energy):
+    """A replan whose anchor node is in collision, or from which no route
+    keeps the battery above its floor, logs no `replan` event and keeps the
+    old reference waypoints."""
+    sc = open_world_scenario()
+    sc = dataclasses.replace(sc, env=dataclasses.replace(
+        sc.env, known_obstacles=(Prism(Vec3(200.0, 40.0, 100.0), (40.0, 20.0, 100.0)),)))
+    old = [sc.start, sc.goal]
+    log = SimLog()
+    state = UavState(position, 0.0, 10.0, BatteryState(energy, 670.0, 50.0))
+    assert _replanned_waypoints(sc, scenario_grid(sc), state, old, log, 1.0) is old
+    assert log.events == []
 
 
 def test_avoiding_mode_commands_are_bang_bang():
