@@ -15,8 +15,7 @@ from .energy import (BatteryDepleted, BatteryState, ConsumptionParams, EnergyMod
                      harvest_power_clear, harvest_power_cloud, incidence_cosine)
 from .grid import EdgeCost, EmptyGrid, NavGrid, build_grid
 from .planning import (NoPath, NodeInObstacle, Path, attach_battery_profile,
-                       energy_edge_cost, length_edge_cost, plan_energy_efficient,
-                       plan_shortest, plan_time_efficient, time_edge_cost)
+                       plan_energy_efficient, plan_shortest, plan_time_efficient)
 from .privacy import (DpLattice, PrivacyPlan, Unreachable, plan_privacy_dp,
                       privacy_intensity, total_privacy_risk)
 from .scenario_io import (ParseError, ValidationError, load_scenario,

@@ -90,9 +90,12 @@ def _map_endpoint(grid: NavGrid, p: Vec3, label: str) -> int:
 
 
 def _astar(grid: NavGrid, start: int, goal: int, battery: Optional[BatteryState],
-           edge_fn: Callable[[int, int, int], float],
+           dark: List[float], lit: List[float],
            h_fn: Callable[[int], float]) -> Tuple[List[int], float]:
     """Label-setting A* over (node, battery energy), pruned BOA*-style.
+
+    An edge along offset k from layer iz costs `dark[k]` when shadowed and
+    `lit[k * nz + iz]` when sunlit; one shadow test picks cost and gain.
 
     Labels pop in (f, node, g, -energy) order. A label is expanded only if it
     carries more energy than every label expanded at its node before it, so
@@ -142,11 +145,15 @@ def _astar(grid: NavGrid, start: int, goal: int, battery: Optional[BatteryState]
             return flats[::-1], g
         iz = node % nz
         for nbr, k in grid.neighbors(node):
-            gain = 0.0 if shadow[k * n + node] else lit_gain[k * nz + iz]
+            j = k * nz + iz
+            if shadow[k * n + node]:
+                gain, step = 0.0, dark[k]
+            else:
+                gain, step = lit_gain[j], lit[j]
             new_e = min(cap, energy - e_out[k] + gain)
             if new_e < floor or new_e <= best_e.get(nbr, -math.inf):
                 continue  # CheckBattery fails, or a label expanded at nbr dominates
-            new_g = g + edge_fn(node, nbr, k)
+            new_g = g + step
             if new_g >= last_g.get(nbr, math.inf) and new_e <= last_e[nbr]:
                 continue  # the last label pushed at nbr dominates
             last_g[nbr], last_e[nbr] = new_g, new_e
@@ -167,36 +174,19 @@ def _euclid_heuristic(grid: NavGrid, goal: int, rate: float) -> Callable[[int], 
     return (rate * np.sqrt(dx * dx + dy * dy + dz * dz)).tolist().__getitem__
 
 
-def energy_edge_cost(grid: NavGrid) -> Callable[[int, int, int], float]:
-    """Nonnegative ordering cost of an edge: net expenditure floored at zero.
-
-    A shadowed edge costs its consumption; a sunlit one its consumption
-    minus the lit gain of its offset and source layer."""
-    n, nz = grid.node_count, grid.dims[2]
-    shadow, e_out, lit_gain = grid.search_tables()
-    lit = [max(0.0, e_out[i // nz] - g) for i, g in enumerate(lit_gain)]
-
-    def fn(a: int, _b: int, k: int) -> float:
-        if shadow[k * n + a]:
-            return e_out[k]  # consumption is never negative
-        return lit[k * nz + a % nz]
-    return fn
+def _energy_tables(grid: NavGrid) -> Tuple[List[float], List[float]]:
+    """`_astar`'s tables of the net expenditure floored at zero: a shadowed
+    edge costs its consumption, a sunlit one its consumption minus the lit
+    gain of its offset and source layer."""
+    nz, e_out = grid.dims[2], grid.e_out.tolist()
+    lit_gain = grid.lit_gain.ravel().tolist()
+    return e_out, [max(0.0, e_out[j // nz] - g) for j, g in enumerate(lit_gain)]
 
 
-def _offset_cost(table) -> Callable[[int, int, int], float]:
-    values = table.tolist()
-
-    def fn(_a: int, _b: int, k: int) -> float:
-        return values[k]
-    return fn
-
-
-def time_edge_cost(grid: NavGrid) -> Callable[[int, int, int], float]:
-    return _offset_cost(grid.duration)
-
-
-def length_edge_cost(grid: NavGrid) -> Callable[[int, int, int], float]:
-    return _offset_cost(grid.length)
+def _per_offset(grid: NavGrid, table) -> Tuple[List[float], List[float]]:
+    """`_astar`'s tables of a cost set by the offset alone, sunlit or not."""
+    dark = table.tolist()
+    return dark, [c for c in dark for _ in range(grid.dims[2])]
 
 
 def _energy_rate(grid: NavGrid) -> float:
@@ -215,15 +205,13 @@ def _max_edge_speed(grid: NavGrid) -> float:
 
 
 def _plan(grid: NavGrid, battery: Optional[BatteryState], start: Vec3, goal: Vec3,
-          edge_cost: Callable[[NavGrid], Callable[[int, int, int], float]],
-          rate: float) -> Path:
-    """Search driver of the grid planners: map both endpoints, search with
-    `edge_cost(grid)` and the heuristic `rate` x straight-line distance under
-    `battery` (unbounded energy when None) and annotate the path's edges."""
+          dark: List[float], lit: List[float], rate: float) -> Path:
+    """Search driver of the grid planners: map both endpoints, search with the
+    tables `dark`, `lit` and the heuristic `rate` x straight-line distance
+    under `battery` (unbounded energy when None) and annotate the path's edges."""
     s = _map_endpoint(grid, start, "start")
     g = _map_endpoint(grid, goal, "goal")
-    flats, cost = _astar(grid, s, g, battery, edge_cost(grid),
-                         _euclid_heuristic(grid, g, rate))
+    flats, cost = _astar(grid, s, g, battery, dark, lit, _euclid_heuristic(grid, g, rate))
     path = Path([grid.node_point(f) for f in flats],
                 [grid.edge_cost(a, b) for a, b in zip(flats, flats[1:])], cost)
     return path if battery is None else attach_battery_profile(path, battery)
@@ -231,7 +219,7 @@ def _plan(grid: NavGrid, battery: Optional[BatteryState], start: Vec3, goal: Vec
 
 def plan_shortest(grid: NavGrid, start: Vec3, goal: Vec3) -> Path:
     """Minimum Euclidean-length grid path; ignores energy entirely."""
-    return _plan(grid, None, start, goal, length_edge_cost, 1.0)
+    return _plan(grid, None, start, goal, *_per_offset(grid, grid.length), 1.0)
 
 
 def plan_energy_efficient(grid: NavGrid, battery: Optional[BatteryState],
@@ -239,10 +227,11 @@ def plan_energy_efficient(grid: NavGrid, battery: Optional[BatteryState],
     """Minimize net energy expenditure subject to the battery floor.
 
     With battery=None no floor or capacity binds: plain A* on the same cost."""
-    return _plan(grid, battery, start, goal, energy_edge_cost, _energy_rate(grid))
+    return _plan(grid, battery, start, goal, *_energy_tables(grid), _energy_rate(grid))
 
 
 def plan_time_efficient(grid: NavGrid, battery: Optional[BatteryState],
                         start: Vec3, goal: Vec3) -> Path:
     """Minimize total duration subject to the same battery floor/clamp."""
-    return _plan(grid, battery, start, goal, time_edge_cost, 1.0 / _max_edge_speed(grid))
+    return _plan(grid, battery, start, goal, *_per_offset(grid, grid.duration),
+                 1.0 / _max_edge_speed(grid))

@@ -12,8 +12,9 @@ instead of a broad phase on the lattice, product-graph search instead
 of label-setting A*, uniform-cost search with no heuristic instead of A*,
 node-keyed A* with a closed set instead of labels of infinite energy,
 Pareto buckets instead of one best energy per node, recursion/enumeration
-instead of layered DP tables, and a scalar per-(layer, node, move) DP instead
-of tables built once and backed up over whole layers.
+instead of layered DP tables, a scalar per-(layer, node, move) DP instead
+of tables built once and backed up over whole layers, and per-edge cost
+callables instead of the planners' dark/lit cost tables.
 """
 
 from __future__ import annotations
@@ -324,6 +325,38 @@ def constrained_time_dijkstra(grid: NavGrid, capacity: float, floor: float,
                 best[key] = cand
                 heapq.heappush(heap, (cand, nbr, new_eq))
     return None
+
+
+def energy_edge_cost(grid: NavGrid) -> Callable[[int, int, int], float]:
+    """Nonnegative ordering cost of an edge: net expenditure floored at zero.
+
+    A shadowed edge costs its consumption; a sunlit one its consumption
+    minus the lit gain of its offset and source layer."""
+    n, nz = grid.node_count, grid.dims[2]
+    shadow, e_out, lit_gain = grid.search_tables()
+    lit = [max(0.0, e_out[i // nz] - g) for i, g in enumerate(lit_gain)]
+
+    def fn(a: int, _b: int, k: int) -> float:
+        if shadow[k * n + a]:
+            return e_out[k]  # consumption is never negative
+        return lit[k * nz + a % nz]
+    return fn
+
+
+def _offset_cost(table) -> Callable[[int, int, int], float]:
+    values = table.tolist()
+
+    def fn(_a: int, _b: int, k: int) -> float:
+        return values[k]
+    return fn
+
+
+def time_edge_cost(grid: NavGrid) -> Callable[[int, int, int], float]:
+    return _offset_cost(grid.duration)
+
+
+def length_edge_cost(grid: NavGrid) -> Callable[[int, int, int], float]:
+    return _offset_cost(grid.length)
 
 
 def dijkstra_oracle(grid: NavGrid, edge_cost: Callable[[int, int, int], float],

@@ -26,8 +26,7 @@ import solarnav as sn
 from solarnav import (BatteryState, Box, ControlLimits, Environment, HarvestParams,
                       Mode, MovingObstacle, NoPath, Prism, PrivacyRegion, Scenario,
                       SunModel, UavState, Vec3, build_grid, energy_audit,
-                      energy_edge_cost, harvest_power_altitude, harvest_power_clear,
-                      harvest_power_cloud, length_edge_cost,
+                      harvest_power_altitude, harvest_power_clear, harvest_power_cloud,
                       plan_energy_efficient, plan_privacy_dp, plan_shortest,
                       plan_time_efficient, pursuit_command, pursuit_lookahead,
                       run_scenario, step_kinematics_planar)
@@ -37,7 +36,8 @@ from solarnav.reporting import plan_summary
 from solarnav.scenario_io import load_scenario
 
 from conftest import fork_env
-from oracles import ReferenceDpProblem, dijkstra_oracle, dp_value_by_recursion
+from oracles import (ReferenceDpProblem, dijkstra_oracle, dp_value_by_recursion,
+                     energy_edge_cost, length_edge_cost)
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -691,6 +692,23 @@ def test_simulate_hybrid_writes_log_and_report(tmp_path):
     assert report["metrics"]["reached_goal"] is True
     first = out.read_text().split("\n", 1)[0]
     assert first == "t,x,y,z,theta,v,u,battery,shadow,mode,min_dist"
+
+
+def test_simulate_echoes_events_under_solarnav_log(monkeypatch):
+    """With SOLARNAV_LOG=debug, `simulate` echoes one `# t=...` line per log
+    event to stderr, the mode switches and then the terminal event, and
+    prints the same stdout as without the variable."""
+    monkeypatch.delenv("SOLARNAV_LOG", raising=False)
+    quiet = CliRunner().invoke(main, ["simulate", "-s", "section5"])
+    monkeypatch.setenv("SOLARNAV_LOG", "debug")
+    loud = CliRunner().invoke(main, ["simulate", "-s", "section5"])
+    assert quiet.exit_code == loud.exit_code == 0, loud.output
+    assert quiet.stderr == ""
+    assert loud.stdout_bytes == quiet.stdout_bytes
+    *switches, terminal = loud.stderr.splitlines()
+    assert switches and all(re.fullmatch(r"# t=\d+\.\d\d mode_switch (avoiding|tracking)", line)
+                            for line in switches)
+    assert re.fullmatch(r"# t=\d+\.\d\d goal", terminal)
 
 
 def test_simulate_collision_exits_one(tmp_path):

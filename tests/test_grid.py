@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from solarnav import (Box, ConsumptionParams, DpLattice, EmptyGrid, EnergyModel, Environment,
                       HarvestModel, HarvestParams, Prism, SunModel, Vec3, build_grid,
-                      energy_edge_cost, segment_blocked, segments_blocked)
+                      segment_blocked, segments_blocked)
+from solarnav.planning import _energy_tables, _per_offset
 from solarnav.privacy import _lattice_offsets
 
 from conftest import empty_env, env_with, random_env
@@ -161,19 +162,25 @@ def test_edge_costs_level_and_climb(default_energy):
 def test_every_edge_matches_the_scalar_reference(mode, planar_z):
     """On an integral lattice the per-offset tables and the batched shadow
     mask reproduce the per-edge scalar evaluation exactly, through edge_cost
-    and through the energy search cost, for every harvest model."""
+    and through the search's dark/lit cost tables of the energy, time and
+    shortest planners, for every harvest model."""
     prism = Prism(Vec3(50, 50, 30), (25, 20, 30), (2, 2, 2))
     sun = SunModel.from_position(Vec3(50, -250, 300), Vec3(50, 50, 40))
     # A cloud layer inside the altitude band, so the CLOUD gain varies with z.
     energy = EnergyModel(ConsumptionParams(), HarvestParams(h_down=30.0, h_up=70.0), mode)
     grid = build_grid(env_with([prism], sun=sun), 20.0, energy=energy, planar_z=planar_z)
-    cost = energy_edge_cost(grid)
+    n, nz = grid.node_count, grid.dims[2]
+    shadow = grid.search_tables()[0]
+    tables = (_energy_tables(grid), _per_offset(grid, grid.duration),
+              _per_offset(grid, grid.length))
     edges = shadowed = 0
     for a in range(grid.node_count):
         for b, k in grid.neighbors(a):
             ref = reference_edge_cost(grid, a, b)
             assert grid.edge_cost(a, b) == ref, (a, b)
-            assert cost(a, b, k) == max(0.0, ref.e_out - ref.e_gain), (a, b)
+            costs = [dark[k] if shadow[k * n + a] else lit[k * nz + a % nz]
+                     for dark, lit in tables]
+            assert costs == [max(0.0, ref.e_out - ref.e_gain), ref.duration, ref.length], (a, b)
             edges += 1
             shadowed += ref.e_gain == 0.0
     assert 0 < shadowed < edges

@@ -13,17 +13,17 @@ from hypothesis import strategies as st
 
 from solarnav import (BatteryState, Box, EmptyGrid, EnergyModel, Environment,
                       HarvestModel, NavGrid, NoPath, NodeInObstacle, Prism, SunModel,
-                      Vec3, build_grid, energy_edge_cost, length_edge_cost,
-                      plan_energy_efficient, plan_shortest, plan_time_efficient,
-                      time_edge_cost)
+                      Vec3, build_grid, plan_energy_efficient, plan_shortest,
+                      plan_time_efficient)
 from solarnav import planning
-from solarnav.planning import (_astar, _energy_rate, _euclid_heuristic,
-                               _max_edge_speed)
+from solarnav.planning import (_astar, _energy_rate, _energy_tables, _euclid_heuristic,
+                               _max_edge_speed, _per_offset)
 from solarnav.scenario_io import load_scenario
 
 from conftest import empty_env, env_with, fork_env, random_env
 import oracles
-from oracles import dijkstra_oracle, reference_battery_search, reference_plain_astar
+from oracles import (dijkstra_oracle, energy_edge_cost, length_edge_cost,
+                     reference_battery_search, reference_plain_astar, time_edge_cost)
 
 BIG_BATTERY = BatteryState(1e9, 1e9, 0.0)
 
@@ -184,6 +184,21 @@ def _objectives(grid, goal_flat):
                                                      1.0 / _max_edge_speed(grid)))]
 
 
+def _planner_tables(grid, goal_flat):
+    """(dark, lit, heuristic) of the energy, the time and the shortest planner."""
+    return [(*_energy_tables(grid), _euclid_heuristic(grid, goal_flat, _energy_rate(grid))),
+            (*_per_offset(grid, grid.duration),
+             _euclid_heuristic(grid, goal_flat, 1.0 / _max_edge_speed(grid))),
+            (*_per_offset(grid, grid.length), _euclid_heuristic(grid, goal_flat, 1.0))]
+
+
+def _table_cost(grid, dark, lit):
+    """The search tables `dark`, `lit` as an (a, b, k) edge cost."""
+    n, nz = grid.node_count, grid.dims[2]
+    shadow = grid.search_tables()[0]
+    return lambda a, _b, k: dark[k] if shadow[k * n + a] else lit[k * nz + a % nz]
+
+
 @pytest.mark.parametrize("mode", list(HarvestModel))
 def test_heuristics_are_consistent(mode):
     """h(a) <= c(a, b) + h(b) on every edge, for both objectives, on a 3D grid
@@ -279,12 +294,12 @@ def test_battery_search_matches_pareto_reference(dims, prisms, mode, sun, capaci
     start, goal = _endpoints(grid, ends)
     floor = levels[0] * capacity
     battery = BatteryState(floor + levels[1] * (capacity - floor), capacity, floor)
-    for cost, h in _objectives(grid, goal):
-        args = (start, goal, battery,
-                lambda a, b, k, cost=cost: math.ceil(cost(a, b, k) * 1024) / 1024,
-                lambda n, h=h: math.floor(h(n) * 1024) / 1024)
-        assert _expansions(_astar, grid, *args) == \
-            _expansions(reference_battery_search, grid, *args)
+    for dark, lit, h in _planner_tables(grid, goal)[:2]:
+        dark, lit = ([math.ceil(c * 1024) / 1024 for c in t] for t in (dark, lit))
+        h = lambda n, h=h: math.floor(h(n) * 1024) / 1024
+        assert _expansions(_astar, grid, start, goal, battery, dark, lit, h) == \
+            _expansions(reference_battery_search, grid, start, goal, battery,
+                        _table_cost(grid, dark, lit), h)
 
 
 def _pushes(module, search, grid, *args):
@@ -311,10 +326,10 @@ def test_battery_free_search_matches_plain_astar(dims, prisms, mode, sun, ends):
     if grid is None:
         return
     start, goal = _endpoints(grid, ends)
-    for cost, h in _objectives(grid, goal) + [(length_edge_cost(grid),
-                                               _euclid_heuristic(grid, goal, 1.0))]:
-        assert _pushes(planning, _astar, grid, start, goal, None, cost, h) == \
-            _pushes(oracles, reference_plain_astar, grid, start, goal, cost, h)
+    for dark, lit, h in _planner_tables(grid, goal):
+        assert _pushes(planning, _astar, grid, start, goal, None, dark, lit, h) == \
+            _pushes(oracles, reference_plain_astar, grid, start, goal,
+                    _table_cost(grid, dark, lit), h)
 
 
 @pytest.mark.parametrize("resolution", [20.0, 10.0])
@@ -326,10 +341,10 @@ def test_battery_search_matches_pareto_reference_on_section4(resolution):
     sc = load_scenario("section4")
     grid = build_grid(sc.env, resolution, margin=sc.grid_margin, energy=sc.energy)
     start, goal = grid.index_of_point(sc.start), grid.index_of_point(sc.goal)
-    for cost, h in _objectives(grid, goal):
-        args = (start, goal, sc.battery, cost, h)
-        got, got_nodes = _expansions(_astar, grid, *args)
-        want, want_nodes = _expansions(reference_battery_search, grid, *args)
+    for dark, lit, h in _planner_tables(grid, goal)[:2]:
+        got, got_nodes = _expansions(_astar, grid, start, goal, sc.battery, dark, lit, h)
+        want, want_nodes = _expansions(reference_battery_search, grid, start, goal,
+                                       sc.battery, _table_cost(grid, dark, lit), h)
         assert got == want
         assert sorted(got_nodes) == sorted(want_nodes)
 

@@ -190,12 +190,17 @@ def test_replan_after_avoidance_still_reaches_goal():
 @pytest.mark.parametrize("position, energy", [
     (Vec3(159.0, 40.0, 100.0), 670.0),  # nearest node (160, 40) lies on the prism
     (Vec3(20.0, 120.0, 100.0), 50.0),   # at the floor, and every move loses energy
+    (Vec3(439.0, 120.0, 100.0), 670.0),  # nearest node (440, 120) lies beyond the far face
 ])
 def test_replan_falls_back_to_the_old_reference(position, energy):
     """A replan whose anchor node is in collision, or from which no route
     keeps the battery above its floor, logs no `replan` event and keeps the
-    old reference waypoints."""
-    sc = open_world_scenario()
+    old reference waypoints.
+
+    The bounds end at x = 439.99999999, so the lattice's rounding adds a node
+    layer at x = 440: free in the grid, whose mask tests prisms only, but out
+    of bounds, which only the anchor's `is_collision` check sees."""
+    sc = open_world_scenario(length=399.99999999)
     sc = dataclasses.replace(sc, env=dataclasses.replace(
         sc.env, known_obstacles=(Prism(Vec3(200.0, 40.0, 100.0), (40.0, 20.0, 100.0)),)))
     old = [sc.start, sc.goal]
