@@ -7,7 +7,7 @@ avoidance controller, and a deterministic urban scenario simulator."""
 __version__ = "0.1.0"
 
 from .control import (AvoidanceParams, ControlLimits, Detection, LimitClamped, Mode,
-                      UavState, avoidance_command, pursuit_command, pursuit_lookahead,
+                      avoidance_command, pursuit_command, pursuit_lookahead,
                       sense_obstacles, step_kinematics_3d, step_kinematics_planar,
                       supervisor_step, wrap_angle)
 from .energy import (BatteryDepleted, BatteryState, ConsumptionParams, EnergyModel,

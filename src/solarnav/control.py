@@ -9,7 +9,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import List, Sequence, Tuple, TYPE_CHECKING
 
-from .energy import BatteryState
 from .world import ValidationError, Vec3
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -89,18 +88,6 @@ class AvoidanceParams:
 
 
 @dataclass(frozen=True)
-class UavState:
-    position: Vec3
-    heading: float             # rad in (-pi, pi]
-    speed: float               # m/s
-    battery: BatteryState
-    mode: Mode = Mode.TRACKING
-
-    def __post_init__(self):
-        object.__setattr__(self, "heading", wrap_angle(self.heading))
-
-
-@dataclass(frozen=True)
 class Detection:
     """One sensed sphere: extreme vision-cone angles in the body frame
     (alpha_low <= alpha_high), its planar velocity and center range."""
@@ -152,41 +139,39 @@ def _rk4(x: float, y: float, z: float, theta: float, v: float, w: float,
     return x, y, z, theta
 
 
-def step_kinematics_3d(state: UavState, v: float, w: float, omega: float,
-                       dt: float, limits: ControlLimits) -> UavState:
-    """Fourth-order Runge-Kutta advance of the 3D unicycle over dt.
+def step_kinematics_3d(x: float, y: float, z: float, heading: float, v: float,
+                       w: float, omega: float, dt: float,
+                       limits: ControlLimits) -> Tuple[float, float, float, float]:
+    """Fourth-order Runge-Kutta advance of the 3D unicycle pose over dt.
 
     Inputs outside the limits are clamped and a LimitClamped warning is
     emitted."""
     cv, co, cw, clamped = _clamp_inputs(v, omega, limits, w)
-    p = state.position
-    x, y, z, theta = _rk4(p.x, p.y, p.z, state.heading, cv, cw, co, dt)
     if clamped:
         warnings.warn("inputs clamped", LimitClamped, stacklevel=2)
-    return UavState(Vec3(x, y, z), theta, cv, state.battery, state.mode)
+    return _rk4(x, y, z, heading, cv, cw, co, dt)
 
 
-def step_kinematics_planar(state: UavState, v: float, omega: float, dt: float,
-                           limits: ControlLimits) -> UavState:
-    """Planar variant of the kinematic step: altitude held constant."""
+def step_kinematics_planar(x: float, y: float, heading: float, v: float, omega: float,
+                           dt: float, limits: ControlLimits) -> Tuple[float, float, float]:
+    """Planar variant of the kinematic step: (x, y, heading), altitude held."""
     cv, co, _, clamped = _clamp_inputs(v, omega, limits)
-    p = state.position
-    x, y, _, theta = _rk4(p.x, p.y, p.z, state.heading, cv, 0.0, co, dt)
     if clamped:
         warnings.warn("inputs clamped", LimitClamped, stacklevel=2)
-    return UavState(Vec3(x, y, p.z), theta, cv, state.battery, state.mode)
+    x, y, _, heading = _rk4(x, y, 0.0, heading, cv, 0.0, co, dt)
+    return x, y, heading
 
 
-def pursuit_lookahead(waypoints: Sequence[Vec3], p: Vec3, lookahead: float) -> Vec3:
+def pursuit_lookahead(waypoints: Sequence[Vec3], x: float, y: float, z: float,
+                      lookahead: float) -> Vec3:
     """Virtual target: the path point at arc-distance `lookahead` beyond the
-    waypoint nearest to p (the final waypoint when the path runs out)."""
+    waypoint nearest to (x, y, z) (the final waypoint when the path runs out)."""
     if not waypoints:
         raise ValueError("path must be non-empty")
-    # `p.dist_to` inlined; the strict < keeps the lowest index among ties.
-    px, py, pz = p.x, p.y, p.z
+    # The strict < keeps the lowest index among ties.
     nearest, best = 0, math.inf
     for i, w in enumerate(waypoints):
-        dx, dy, dz = px - w.x, py - w.y, pz - w.z
+        dx, dy, dz = x - w.x, y - w.y, z - w.z
         d = math.sqrt(dx * dx + dy * dy + dz * dz)
         if d < best:
             nearest, best = i, d
@@ -202,18 +187,18 @@ def pursuit_lookahead(waypoints: Sequence[Vec3], p: Vec3, lookahead: float) -> V
     return waypoints[-1]
 
 
-def pursuit_command(state: UavState, target: Vec3, lookahead: float,
+def pursuit_command(x: float, y: float, heading: float, target: Vec3, lookahead: float,
                     limits: ControlLimits) -> Tuple[float, float]:
     """Pure-pursuit steering: curvature k = 2 sin(alpha) / L toward the target.
 
     The arc fit is only defined for targets in the frontal half-plane; a
     target astern gets a full-rate turn instead (sin(alpha) would otherwise
     command less steering the further behind the target falls)."""
-    dx = target.x - state.position.x
-    dy = target.y - state.position.y
+    dx = target.x - x
+    dy = target.y - y
     if dx == 0.0 and dy == 0.0:
         return limits.cruise, 0.0
-    alpha = wrap_angle(math.atan2(dy, dx) - state.heading)
+    alpha = wrap_angle(math.atan2(dy, dx) - heading)
     if abs(alpha) > math.pi / 2:
         return limits.cruise, math.copysign(limits.u_max, alpha)
     k = 2.0 * math.sin(alpha) / lookahead
@@ -221,20 +206,19 @@ def pursuit_command(state: UavState, target: Vec3, lookahead: float,
     return limits.cruise, u
 
 
-def sense_obstacles(unknown: Sequence["MovingObstacle"], state: UavState,
-                    params: AvoidanceParams) -> List[Detection]:
+def sense_obstacles(unknown: Sequence["MovingObstacle"], x: float, y: float,
+                    heading: float, params: AvoidanceParams) -> List[Detection]:
     """Detections of spheres within sensor range in the frontal half-plane.
 
     Cone angles are the tangent-line extremes of each sphere in the body frame."""
     out: List[Detection] = []
-    px, py = state.position.x, state.position.y
     for idx, obs in enumerate(unknown):
-        dx = obs.center.x - px
-        dy = obs.center.y - py
+        dx = obs.center.x - x
+        dy = obs.center.y - y
         rng = math.hypot(dx, dy)
         if rng <= 0.0 or rng > params.r_sensor:
             continue
-        bearing = wrap_angle(math.atan2(dy, dx) - state.heading)
+        bearing = wrap_angle(math.atan2(dy, dx) - heading)
         if abs(bearing) > math.pi / 2:
             continue
         half = math.asin(min(1.0, obs.radius / rng))
@@ -246,7 +230,7 @@ def sense_obstacles(unknown: Sequence["MovingObstacle"], state: UavState,
     return out
 
 
-def avoidance_command(state: UavState, det: Detection, sun_dir: Tuple[float, float],
+def avoidance_command(heading: float, det: Detection, sun_dir: Tuple[float, float],
                       params: AvoidanceParams,
                       limits: ControlLimits) -> Tuple[float, float]:
     """Sliding-mode escape along a boundary ray of the enlarged vision cone.
@@ -261,11 +245,10 @@ def avoidance_command(state: UavState, det: Detection, sun_dir: Tuple[float, flo
     vox, voy = det.velocity
     candidates = []
     for beta in (beta_high, beta_low):
-        ang = state.heading + beta
+        ang = heading + beta
         candidates.append((vox + mag * math.cos(ang), voy + mag * math.sin(ang)))
-    vel_angle = state.heading
     cand_angles = [math.atan2(cy, cx) for cx, cy in candidates]
-    eps = [signed_angle(vel_angle, a) for a in cand_angles]
+    eps = [signed_angle(heading, a) for a in cand_angles]
     if abs(wrap_angle(cand_angles[0] - cand_angles[1])) >= params.threshold:
         pick = 0 if abs(eps[0]) <= abs(eps[1]) else 1
     else:
@@ -273,29 +256,30 @@ def avoidance_command(state: UavState, det: Detection, sun_dir: Tuple[float, flo
         off = [abs(signed_angle(a, sun_angle)) for a in cand_angles]
         pick = 0 if off[0] <= off[1] else 1
     cx, cy = candidates[pick]
-    u = -limits.u_max * turn_sign(cand_angles[pick], vel_angle)
+    u = -limits.u_max * turn_sign(cand_angles[pick], heading)
     v = min(max(math.hypot(cx, cy), limits.v_min), limits.v_max)
     return v, u
 
 
-def realign_command(state: UavState, target: Vec3,
+def realign_command(x: float, y: float, heading: float, target: Vec3,
                     limits: ControlLimits) -> Tuple[float, float]:
     """Maximum-rate turn toward the virtual target, used while in avoidance
     mode with nothing left in the sensor cone; keeps the turn bang-bang until
     the alignment condition of the switching law releases the mode."""
-    bearing = math.atan2(target.y - state.position.y, target.x - state.position.x)
-    u = -limits.u_max * turn_sign(bearing, state.heading)
+    bearing = math.atan2(target.y - y, target.x - x)
+    u = -limits.u_max * turn_sign(bearing, heading)
     return limits.cruise, u
 
 
-def supervisor_step(state: UavState, detections: Sequence[Detection],
-                    target: Vec3, params: AvoidanceParams) -> Mode:
+def supervisor_step(mode: Mode, x: float, y: float, heading: float,
+                    detections: Sequence[Detection], target: Vec3,
+                    params: AvoidanceParams) -> Mode:
     """Apply the two switching laws and return the next controller mode."""
     d_min = min((d.clearance for d in detections), default=math.inf)
-    if state.mode is Mode.TRACKING:
+    if mode is Mode.TRACKING:
         return Mode.AVOIDING if d_min <= params.trigger_distance else Mode.TRACKING
-    bearing = math.atan2(target.y - state.position.y, target.x - state.position.x)
-    aligned = abs(signed_angle(state.heading, bearing)) <= params.align_tolerance
+    bearing = math.atan2(target.y - y, target.x - x)
+    aligned = abs(signed_angle(heading, bearing)) <= params.align_tolerance
     if aligned and d_min > params.trigger_distance:
         return Mode.TRACKING
     return Mode.AVOIDING

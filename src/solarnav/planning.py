@@ -150,7 +150,8 @@ def _astar(grid: NavGrid, start: int, goal: int, battery: Optional[BatteryState]
                 gain, step = 0.0, dark[k]
             else:
                 gain, step = lit_gain[j], lit[j]
-            new_e = min(cap, energy - e_out[k] + gain)
+            new_e = energy - e_out[k] + gain
+            new_e = new_e if new_e < cap else cap  # min(cap, new_e) without the call
             if new_e < floor or new_e <= best_e.get(nbr, -math.inf):
                 continue  # CheckBattery fails, or a label expanded at nbr dominates
             new_g = g + step

@@ -7,10 +7,10 @@ import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
-from .control import (AvoidanceParams, ControlLimits, Detection, Mode, UavState,
-                      avoidance_command, pursuit_command, pursuit_lookahead,
-                      realign_command, sense_obstacles, step_kinematics_3d,
-                      step_kinematics_planar, supervisor_step)
+from .control import (AvoidanceParams, ControlLimits, Detection, Mode, avoidance_command,
+                      pursuit_command, pursuit_lookahead, realign_command,
+                      sense_obstacles, step_kinematics_3d, step_kinematics_planar,
+                      supervisor_step, wrap_angle)
 from .energy import BatteryDepleted, BatteryState, EnergyModel, battery_step
 from .grid import EmptyGrid, NavGrid, build_grid
 from .planning import NoPath, NodeInObstacle, Path, attach_battery_profile, \
@@ -264,7 +264,8 @@ def run_scenario(sc: Scenario, mode: str = "hybrid",
     the supervisor returns to the original reference path."""
     if mode not in CONTROL_MODES:
         raise ValueError(f"unknown control mode {mode!r}")
-    path, grid = _plan_reference(sc, mode)
+    stack = mode  # the control stack's name; `mode` is the controller's Mode below
+    path, grid = _plan_reference(sc, stack)
     waypoints = path.waypoints
 
     log = SimLog()
@@ -273,81 +274,80 @@ def run_scenario(sc: Scenario, mode: str = "hybrid",
     sun_dir = (math.cos(sun.azimuth), math.sin(sun.azimuth))
     band = (max(sc.env.bounds.lo.z, sc.env.z_min), min(sc.env.bounds.hi.z, sc.env.z_max))
 
-    target0 = pursuit_lookahead(waypoints, sc.start, sc.lookahead)
-    heading0 = (math.atan2(target0.y - sc.start.y, target0.x - sc.start.x)
-                if target0.horizontal_dist_to(sc.start) > 0 else 0.0)
-    state = UavState(sc.start, heading0, 0.0, sc.battery, Mode.TRACKING)
+    # The pose lives in floats; `p` is the one Vec3 of the position per step.
+    p, battery, mode = sc.start, sc.battery, Mode.TRACKING
+    x, y, z = p.x, p.y, p.z
+    target0 = pursuit_lookahead(waypoints, x, y, z, sc.lookahead)
+    heading = (wrap_angle(math.atan2(target0.y - y, target0.x - x))
+               if target0.horizontal_dist_to(p) > 0 else 0.0)
     obstacles = list(sc.unknown_obstacles)
 
     log.records.append(StepRecord(
-        0.0, sc.start.x, sc.start.y, sc.start.z, state.heading, 0.0, 0.0,
-        sc.battery.energy, shadowed_at(sc.env, sc.start, obstacles),
-        state.mode, min_separation(sc.env, obstacles, sc.start)))
+        0.0, x, y, z, heading, 0.0, 0.0, battery.energy,
+        shadowed_at(sc.env, p, obstacles), mode, min_separation(sc.env, obstacles, p)))
 
     n_steps = int(round(sc.max_duration / sc.dt))
     t = 0.0
     for _ in range(n_steps):
         detections: List[Detection] = []
-        if mode in ("hybrid", "reactive-only"):
-            detections = sense_obstacles(obstacles, state, sc.avoidance)
-        target = pursuit_lookahead(waypoints, state.position, sc.lookahead)
+        if stack in ("hybrid", "reactive-only"):
+            detections = sense_obstacles(obstacles, x, y, heading, sc.avoidance)
+        target = pursuit_lookahead(waypoints, x, y, z, sc.lookahead)
 
-        if mode == "track-only":
+        if stack == "track-only":
             new_mode = Mode.TRACKING
         else:
-            new_mode = supervisor_step(state, detections, target, sc.avoidance)
-        if new_mode is not state.mode:
+            new_mode = supervisor_step(mode, x, y, heading, detections, target,
+                                       sc.avoidance)
+        if new_mode is not mode:
             log.events.append(SimEvent(t, "mode_switch", new_mode.value))
             if (replan and grid is not None and new_mode is Mode.TRACKING):
-                waypoints = _replanned_waypoints(sc, grid, state, waypoints, log, t)
-                target = pursuit_lookahead(waypoints, state.position, sc.lookahead)
-            state = UavState(state.position, state.heading, state.speed, state.battery,
-                             new_mode)
+                waypoints = _replanned_waypoints(sc, grid, p, battery, waypoints, log, t)
+                target = pursuit_lookahead(waypoints, x, y, z, sc.lookahead)
+            mode = new_mode
 
-        if state.mode is Mode.AVOIDING:
+        if mode is Mode.AVOIDING:
             if detections:
                 nearest = min(detections, key=lambda d: (d.clearance, d.obstacle_id))
-                v_cmd, u_cmd = avoidance_command(state, nearest, sun_dir,
+                v_cmd, u_cmd = avoidance_command(heading, nearest, sun_dir,
                                                  sc.avoidance, sc.limits)
             else:
-                v_cmd, u_cmd = realign_command(state, target, sc.limits)
+                v_cmd, u_cmd = realign_command(x, y, heading, target, sc.limits)
         else:
-            v_cmd, u_cmd = pursuit_command(state, target, sc.lookahead, sc.limits)
+            v_cmd, u_cmd = pursuit_command(x, y, heading, target, sc.lookahead, sc.limits)
 
         if sc.planar_z is None:
-            w_raw = (target.z - state.position.z) / sc.dt
+            w_raw = (target.z - z) / sc.dt
             w_cmd = min(max(w_raw, -sc.limits.climb_rate), sc.limits.climb_rate)
-            w_cmd = min(max(w_cmd, (band[0] - state.position.z) / sc.dt),
-                        (band[1] - state.position.z) / sc.dt)
-            state = step_kinematics_3d(state, v_cmd, w_cmd, u_cmd, sc.dt, sc.limits)
+            w_cmd = min(max(w_cmd, (band[0] - z) / sc.dt), (band[1] - z) / sc.dt)
+            x, y, z, heading = step_kinematics_3d(x, y, z, heading, v_cmd, w_cmd, u_cmd,
+                                                  sc.dt, sc.limits)
         else:
-            state = step_kinematics_planar(state, v_cmd, u_cmd, sc.dt, sc.limits)
+            x, y, heading = step_kinematics_planar(x, y, heading, v_cmd, u_cmd, sc.dt,
+                                                   sc.limits)
+        p = Vec3(x, y, z)
 
         obstacles = step_obstacles(obstacles, sc.dt)
         t += sc.dt
 
-        e_out, _ = cons.move(v_cmd * sc.dt, state.position.z - log.records[-1].z)
-        shadow = shadowed_at(sc.env, state.position, obstacles)
-        e_gain = sc.energy.gain(sun.elevation, shadow, state.position.z, sc.dt)
+        e_out, _ = cons.move(v_cmd * sc.dt, z - log.records[-1].z)
+        shadow = shadowed_at(sc.env, p, obstacles)
+        e_gain = sc.energy.gain(sun.elevation, shadow, z, sc.dt)
         try:
-            battery = battery_step(state.battery, e_out, e_gain)
+            battery = battery_step(battery, e_out, e_gain)
         except BatteryDepleted as exc:
             log.events.append(SimEvent(t, "battery_depleted", str(exc)))
             break
-        state = UavState(state.position, state.heading, state.speed, battery, state.mode)
 
-        sep = min_separation(sc.env, obstacles, state.position)
-        log.records.append(StepRecord(
-            t, state.position.x, state.position.y, state.position.z, state.heading,
-            v_cmd, u_cmd, battery.energy, shadow, state.mode, sep))
+        sep = min_separation(sc.env, obstacles, p)
+        log.records.append(StepRecord(t, x, y, z, heading, v_cmd, u_cmd, battery.energy,
+                                      shadow, mode, sep))
 
-        collided = (is_collision(state.position, sc.env)
-                    or any(state.position.dist_to(o.center) <= o.radius
-                           for o in obstacles))
-        if collided:
+        if is_collision(p, sc.env) or any(p.dist_to(o.center) <= o.radius
+                                          for o in obstacles):
             log.events.append(SimEvent(t, "collision"))
             break
-        if state.position.dist_to(sc.goal) <= sc.goal_radius:
+        if p.dist_to(sc.goal) <= sc.goal_radius:
             log.events.append(SimEvent(t, "goal"))
             break
     else:
@@ -356,17 +356,17 @@ def run_scenario(sc: Scenario, mode: str = "hybrid",
     return log, compute_metrics(log, sc)
 
 
-def _replanned_waypoints(sc: Scenario, grid, state: UavState, waypoints, log: SimLog,
-                         t: float):
+def _replanned_waypoints(sc: Scenario, grid, position: Vec3, battery: BatteryState,
+                         waypoints, log: SimLog, t: float):
     """Refresh the reference path from the current position on the known map.
 
     Falls back to the existing reference when no free node is nearby or the
     planner finds no battery-feasible route from here."""
     try:
-        anchor = grid.node_point(grid.index_of_point(state.position))
+        anchor = grid.node_point(grid.index_of_point(position))
         if is_collision(anchor, sc.env, margin=grid.margin):
             return waypoints
-        fresh = run_planner(sc, sc.planner, grid, anchor, state.battery)
+        fresh = run_planner(sc, sc.planner, grid, anchor, battery)
     except (NoPath, NodeInObstacle, ValueError):
         return waypoints
     log.events.append(SimEvent(t, "replan", f"{len(fresh.waypoints)} waypoints"))

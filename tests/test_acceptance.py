@@ -25,7 +25,7 @@ from click.testing import CliRunner
 import solarnav as sn
 from solarnav import (BatteryState, Box, ControlLimits, Environment, HarvestParams,
                       Mode, MovingObstacle, NoPath, Prism, PrivacyRegion, Scenario,
-                      SunModel, UavState, Vec3, build_grid, energy_audit,
+                      SunModel, Vec3, build_grid, energy_audit,
                       harvest_power_altitude, harvest_power_clear, harvest_power_cloud,
                       plan_energy_efficient, plan_privacy_dp, plan_shortest,
                       plan_time_efficient, pursuit_command, pursuit_lookahead,
@@ -321,24 +321,23 @@ def test_criterion_7_harvest_point_checks():
 def test_criterion_8_controller_numerics():
     limits = ControlLimits(v_min=0.0, v_max=20.0, cruise=12.0,
                            u_max=2.0943951023931953)
-    battery = BatteryState(670.0, 670.0, 50.0)
     v, omega, dt = 12.0, 1.2, 1e-3
-    s = UavState(Vec3(0, 0, 100), 0.0, v, battery)
+    x, y, heading = 0.0, 0.0, 0.0
     for _ in range(1000):
-        s = step_kinematics_planar(s, v, omega, dt, limits)
+        x, y, heading = step_kinematics_planar(x, y, heading, v, omega, dt, limits)
     t = 1.0
     cx = (v / omega) * math.sin(omega * t)
     cy = -(v / omega) * (math.cos(omega * t) - 1.0)
-    circle_err = math.hypot(s.position.x - cx, s.position.y - cy)
+    circle_err = math.hypot(x - cx, y - cy)
 
     path = [Vec3(20.0 * i, 0.0, 100.0) for i in range(40)]
-    s = UavState(Vec3(0.0, 5.0, 100.0), 0.0, 12.0, battery)
+    x, y, heading = 0.0, 5.0, 0.0
     sim_dt = 0.05
     for _ in range(int(10.0 / sim_dt)):
-        target = pursuit_lookahead(path, s.position, 20.0)
-        v_cmd, u_cmd = pursuit_command(s, target, 20.0, limits)
-        s = step_kinematics_planar(s, v_cmd, u_cmd, sim_dt, limits)
-    cross_track = abs(s.position.y)
+        target = pursuit_lookahead(path, x, y, 100.0, 20.0)
+        v_cmd, u_cmd = pursuit_command(x, y, heading, target, 20.0, limits)
+        x, y, heading = step_kinematics_planar(x, y, heading, v_cmd, u_cmd, sim_dt, limits)
+    cross_track = abs(y)
     ok = circle_err < 1e-6 and cross_track < 0.5
     report(8, ok, f"circle endpoint error {circle_err:.2e} m; cross-track "
                   f"after 10 s {cross_track:.3f} m")

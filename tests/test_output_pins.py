@@ -23,6 +23,8 @@ RUNS = {
     **{f"simulate-section5-{m}": ["simulate", "-s", "section5", "-m", m,
                                   "-o", "{out}.csv", "-r", "{out}.yaml"]
        for m in ("hybrid", "track-only", "reactive-only")},
+    "simulate-section4-hybrid": ["simulate", "-s", "section4", "-m", "hybrid",
+                                 "-o", "{out}.csv", "-r", "{out}.yaml"],
     "simulate-section5-hybrid-replan": ["simulate", "-s", "section5", "--replan",
                                         "-o", "{out}.csv", "-r", "{out}.yaml"],
     "compare-section4": ["compare", "-s", "section4", "-o", "{out}.yaml"],
@@ -47,6 +49,10 @@ PINS = {
         "1165f9e32ea6c933fa0b749d9e4c62f28e40a21683935f542e4ad44f9cb59f32",
     "plan-section4-time.yaml":
         "9c0eaf02d623e2b4b5d1bf36c2206f355f188bf19c30665697b940b3dc7bd1cf",
+    "simulate-section4-hybrid.csv":
+        "1724db83b04d9415d91a9bc574aff1168262da0073df449a6ff2aaac1d21225e",
+    "simulate-section4-hybrid.yaml":
+        "1efc05ac1181ff0dae7d6c9888ab067adc50a0cc6f8b536c7f9140e9fedcd359",
     "simulate-section5-hybrid-replan.csv":
         "c6c09f44cd11d9fd9410fe67f37e4f917550c22a0abdd4b0f8fbf6bb0b1d0a0a",
     "simulate-section5-hybrid-replan.yaml":

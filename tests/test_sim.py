@@ -10,7 +10,7 @@ import pytest
 
 from solarnav import (BatteryState, Box, Environment, Mode, MovingObstacle,
                       PlanningFailed, Prism, Scenario, SimLog, StepRecord,
-                      SunModel, UavState, Vec3, compute_metrics, energy_audit,
+                      SunModel, Vec3, compute_metrics, energy_audit,
                       run_scenario, shadowed_at, step_obstacles)
 from solarnav.reporting import trajectory_csv_rows
 from solarnav.scenario_io import load_scenario
@@ -205,8 +205,9 @@ def test_replan_falls_back_to_the_old_reference(position, energy):
         sc.env, known_obstacles=(Prism(Vec3(200.0, 40.0, 100.0), (40.0, 20.0, 100.0)),)))
     old = [sc.start, sc.goal]
     log = SimLog()
-    state = UavState(position, 0.0, 10.0, BatteryState(energy, 670.0, 50.0))
-    assert _replanned_waypoints(sc, scenario_grid(sc), state, old, log, 1.0) is old
+    battery = BatteryState(energy, 670.0, 50.0)
+    grid = scenario_grid(sc)
+    assert _replanned_waypoints(sc, grid, position, battery, old, log, 1.0) is old
     assert log.events == []
 
 
