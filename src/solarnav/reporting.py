@@ -12,20 +12,14 @@ import yaml
 
 from .planning import Path
 from .privacy import PrivacyPlan
-from .simulate import Scenario, SimLog, min_separation, shadowed_at
+from .simulate import Scenario, SimLog, StepRecord, min_separation, shadowed_at
 from .world import Vec3
 
-CSV_HEADER = "t,x,y,z,theta,v,u,battery,shadow,mode,min_dist"
+CSV_HEADER = ",".join(StepRecord._fields)
 _CSV_ROW = "%.9g,%.9g,%.9g,%.9g,%.9g,%.9g,%.9g,%.9g,%d,%s,%.9g"
 # libyaml's emitter when PyYAML was built with it: the representer is the
 # pure-Python dumper's, so the reports read the same.
 _YAML_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
-
-
-def _row(t: float, x: float, y: float, z: float, theta: float, v: float, u: float,
-         battery: float, shadow: bool, mode: str, min_dist: float) -> str:
-    """One CSV line, in the column order of CSV_HEADER."""
-    return _CSV_ROW % (t, x, y, z, theta, v, u, battery, shadow, mode, min_dist)
 
 
 def _write_rows(rows: List[str], path: str) -> None:
@@ -34,8 +28,8 @@ def _write_rows(rows: List[str], path: str) -> None:
 
 
 def trajectory_csv_rows(log: SimLog) -> List[str]:
-    return [_row(r.t, r.x, r.y, r.z, r.theta, r.v, r.u, r.battery, r.shadow,
-                 r.mode.value, r.min_dist) for r in log.records]
+    return [_CSV_ROW % (t, x, y, z, theta, v, u, battery, shadow, mode.value, min_dist)
+            for t, x, y, z, theta, v, u, battery, shadow, mode, min_dist in zip(*log.columns)]
 
 
 def write_trajectory_csv(log: SimLog, path: str) -> None:
@@ -78,9 +72,9 @@ def plan_csv_rows(plan: Path, sc: Scenario) -> List[str]:
             theta = math.atan2(wp.y - prev.y, wp.x - prev.x)
         level = battery[i] if battery else sc.battery.energy
         spheres = [o.at(t) for o in sc.unknown_obstacles]
-        rows.append(_row(t, wp.x, wp.y, wp.z, theta, speed, 0.0, level,
-                         shadowed_at(sc.env, wp, spheres), "plan",
-                         min_separation(sc.env, spheres, wp)))
+        rows.append(_CSV_ROW % (t, wp.x, wp.y, wp.z, theta, speed, 0.0, level,
+                                shadowed_at(sc.env, wp, spheres), "plan",
+                                min_separation(sc.env, spheres, wp)))
     return rows
 
 
@@ -93,8 +87,8 @@ def write_privacy_csv(plan: PrivacyPlan, sc: Scenario, path: str) -> None:
     speed, battery use or shadow: those columns read 0, and battery the
     scenario's initial charge, as for a plan without a battery profile.
     `min_dist` sees the unknown spheres at the row's time."""
-    _write_rows([_row(t, p.x, p.y, p.z, 0.0, 0.0, 0.0, sc.battery.energy, False, "plan",
-                      min_separation(sc.env, [o.at(t) for o in sc.unknown_obstacles], p))
+    _write_rows([_CSV_ROW % (t, p.x, p.y, p.z, 0.0, 0.0, 0.0, sc.battery.energy, False, "plan",
+                             min_separation(sc.env, [o.at(t) for o in sc.unknown_obstacles], p))
                  for t, p in plan.trajectory], path)
 
 

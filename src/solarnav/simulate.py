@@ -4,8 +4,8 @@ moving unknown obstacles, energy accounting and full trace logging."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import asdict, dataclass, field
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .control import (AvoidanceParams, ControlLimits, Detection, Mode, avoidance_command,
                       pursuit_command, pursuit_lookahead, realign_command,
@@ -20,6 +20,7 @@ from .world import Environment, ValidationError, Vec3, in_shadow, is_collision, 
 CONTROL_MODES = ("hybrid", "reactive-only", "track-only")
 SIM_PLANNERS = ("energy", "time", "shortest")
 PLANNER_NAMES = SIM_PLANNERS + ("privacy",)
+_TERMINAL_EVENTS = ("goal", "collision", "battery_depleted", "timeout")
 MAX_SIM_STEPS = 100_000  # max_duration / dt; 5,000 s at the default 0.05 s step
 
 
@@ -106,25 +107,12 @@ class Scenario:
         return 2.0 * self.start.dist_to(self.goal) / self.limits.cruise
 
 
-@dataclass(frozen=True)
-class StepRecord:
-    """One log row; v/u are the commands applied over the step ending at t."""
-
-    t: float
-    x: float
-    y: float
-    z: float
-    theta: float
-    v: float
-    u: float
-    battery: float
-    shadow: bool
-    mode: Mode
-    min_dist: float
-
-    @property
-    def position(self) -> Vec3:
-        return Vec3(self.x, self.y, self.z)
+# One log row, its fields in the CSV's column order; v and u are the commands
+# applied over the step ending at t. A view only: SimLog keeps the columns.
+StepRecord = NamedTuple("StepRecord", [
+    ("t", float), ("x", float), ("y", float), ("z", float), ("theta", float),
+    ("v", float), ("u", float), ("battery", float), ("shadow", bool), ("mode", Mode),
+    ("min_dist", float)])
 
 
 @dataclass(frozen=True)
@@ -136,15 +124,38 @@ class SimEvent:
 
 @dataclass
 class SimLog:
-    records: List[StepRecord] = field(default_factory=list)
+    """The trace as columns, one list per `StepRecord` field: entry i of each
+    column is row i, the start for i = 0 and else the state after step i."""
+
+    t: List[float] = field(default_factory=list)
+    x: List[float] = field(default_factory=list)
+    y: List[float] = field(default_factory=list)
+    z: List[float] = field(default_factory=list)
+    theta: List[float] = field(default_factory=list)
+    v: List[float] = field(default_factory=list)
+    u: List[float] = field(default_factory=list)
+    battery: List[float] = field(default_factory=list)
+    shadow: List[bool] = field(default_factory=list)
+    mode: List[Mode] = field(default_factory=list)
+    min_dist: List[float] = field(default_factory=list)
     events: List[SimEvent] = field(default_factory=list)
 
     @property
-    def terminal(self) -> str:
-        for e in reversed(self.events):
-            if e.kind in ("goal", "collision", "battery_depleted", "timeout"):
-                return e.kind
-        return "timeout"
+    def columns(self) -> Tuple[list, ...]:
+        """The column lists themselves, in `StepRecord` field order."""
+        return tuple(getattr(self, name) for name in StepRecord._fields)
+
+    @property
+    def records(self) -> List[StepRecord]:
+        """The rows, built on each call (for the benchmark tracer)."""
+        return [StepRecord(*row) for row in zip(*self.columns)]
+
+
+# The report key of each Metrics field that carries a unit.
+_REPORT_KEYS = {"total_time": "total_time_s", "e_out": "consumption_J",
+                "e_gain": "harvest_J", "net_cost": "net_cost_J",
+                "final_battery": "final_battery_J", "path_length": "path_length_m",
+                "shadow_time": "shadow_time_s", "min_separation": "min_separation_m"}
 
 
 @dataclass(frozen=True)
@@ -164,19 +175,8 @@ class Metrics:
     terminal: str
 
     def as_dict(self) -> dict:
-        return {
-            "total_time_s": self.total_time,
-            "consumption_J": self.e_out,
-            "harvest_J": self.e_gain,
-            "net_cost_J": self.net_cost,
-            "final_battery_J": self.final_battery,
-            "path_length_m": self.path_length,
-            "shadow_time_s": self.shadow_time,
-            "min_separation_m": self.min_separation,
-            "collision": self.collision,
-            "reached_goal": self.reached_goal,
-            "terminal": self.terminal,
-        }
+        """The report's metrics, every field under its name with its unit."""
+        return {_REPORT_KEYS.get(k, k): v for k, v in asdict(self).items()}
 
 
 def _sphere_blocks_segment(a: Vec3, b: Vec3, center: Vec3, radius: float) -> bool:
@@ -224,16 +224,16 @@ def scenario_grid(sc: Scenario) -> NavGrid:
 
 def run_planner(sc: Scenario, name: str, grid: NavGrid, start: Vec3,
                 battery: BatteryState) -> Path:
-    """Plan from `start` to the goal on `grid` with the named grid planner.
-
-    The shortest path ignores energy; its battery trace is attached after
-    the search. Any other name, including `privacy`, which has no grid form,
-    plans the shortest path."""
+    """Plan from `start` to the goal on `grid` with the grid planner `name`,
+    one of SIM_PLANNERS; any other, `privacy` too, raises ValueError. The
+    shortest path ignores energy; its battery trace is attached after the search."""
     if name == "energy":
         return plan_energy_efficient(grid, battery, start, sc.goal)
     if name == "time":
         return plan_time_efficient(grid, battery, start, sc.goal)
-    return attach_battery_profile(plan_shortest(grid, start, sc.goal), battery)
+    if name == "shortest":
+        return attach_battery_profile(plan_shortest(grid, start, sc.goal), battery)
+    raise ValueError(f"simulate flies only {'/'.join(SIM_PLANNERS)}, not {name!r}")
 
 
 def _plan_reference(sc: Scenario, mode: str):
@@ -268,7 +268,6 @@ def run_scenario(sc: Scenario, mode: str = "hybrid",
     path, grid = _plan_reference(sc, stack)
     waypoints = path.waypoints
 
-    log = SimLog()
     cons = sc.energy.consumption
     sun = sc.env.sun
     sun_dir = (math.cos(sun.azimuth), math.sin(sun.azimuth))
@@ -282,9 +281,12 @@ def run_scenario(sc: Scenario, mode: str = "hybrid",
                if target0.horizontal_dist_to(p) > 0 else 0.0)
     obstacles = list(sc.unknown_obstacles)
 
-    log.records.append(StepRecord(
-        0.0, x, y, z, heading, 0.0, 0.0, battery.energy,
-        shadowed_at(sc.env, p, obstacles), mode, min_separation(sc.env, obstacles, p)))
+    log = SimLog(t=[0.0], x=[x], y=[y], z=[z], theta=[heading], v=[0.0], u=[0.0],
+                 battery=[battery.energy], shadow=[shadowed_at(sc.env, p, obstacles)],
+                 mode=[mode], min_dist=[min_separation(sc.env, obstacles, p)])
+    # Each step appends its floats to the columns: no row object per step.
+    (add_t, add_x, add_y, add_z, add_theta, add_v, add_u, add_battery, add_shadow,
+     add_mode, add_min_dist) = (column.append for column in log.columns)
 
     n_steps = int(round(sc.max_duration / sc.dt))
     t = 0.0
@@ -316,6 +318,7 @@ def run_scenario(sc: Scenario, mode: str = "hybrid",
         else:
             v_cmd, u_cmd = pursuit_command(x, y, heading, target, sc.lookahead, sc.limits)
 
+        z_prev = z
         if sc.planar_z is None:
             w_raw = (target.z - z) / sc.dt
             w_cmd = min(max(w_raw, -sc.limits.climb_rate), sc.limits.climb_rate)
@@ -330,7 +333,7 @@ def run_scenario(sc: Scenario, mode: str = "hybrid",
         obstacles = step_obstacles(obstacles, sc.dt)
         t += sc.dt
 
-        e_out, _ = cons.move(v_cmd * sc.dt, z - log.records[-1].z)
+        e_out, _ = cons.move(v_cmd * sc.dt, z - z_prev)
         shadow = shadowed_at(sc.env, p, obstacles)
         e_gain = sc.energy.gain(sun.elevation, shadow, z, sc.dt)
         try:
@@ -339,9 +342,17 @@ def run_scenario(sc: Scenario, mode: str = "hybrid",
             log.events.append(SimEvent(t, "battery_depleted", str(exc)))
             break
 
-        sep = min_separation(sc.env, obstacles, p)
-        log.records.append(StepRecord(t, x, y, z, heading, v_cmd, u_cmd, battery.energy,
-                                      shadow, mode, sep))
+        add_t(t)
+        add_x(x)
+        add_y(y)
+        add_z(z)
+        add_theta(heading)
+        add_v(v_cmd)
+        add_u(u_cmd)
+        add_battery(battery.energy)
+        add_shadow(shadow)
+        add_mode(mode)
+        add_min_dist(min_separation(sc.env, obstacles, p))
 
         if is_collision(p, sc.env) or any(p.dist_to(o.center) <= o.radius
                                           for o in obstacles):
@@ -375,59 +386,53 @@ def _replanned_waypoints(sc: Scenario, grid, position: Vec3, battery: BatterySta
 
 def compute_metrics(log: SimLog, sc: Scenario) -> Metrics:
     """Aggregate a log; energy totals are recomputed from the trace rather
-    than taken from controller bookkeeping."""
-    if not log.records:
+    than taken from controller bookkeeping. The terminal cause is the last
+    terminal event, or `timeout` without one."""
+    if not log.t:
         raise ValueError("log must contain at least one record")
-    recs = log.records
-    cons = sc.energy.consumption
-    elevation = sc.env.sun.elevation
-    e_out_total = 0.0
-    e_gain_total = 0.0
-    applied_total = 0.0
-    length = 0.0
-    shadow_time = 0.0
-    level = recs[0].battery
-    cap = sc.battery.capacity
-    for prev, cur in zip(recs, recs[1:]):
-        dt = cur.t - prev.t
-        e_out, _ = cons.move(cur.v * dt, cur.z - prev.z)
-        e_gain = sc.energy.gain(elevation, cur.shadow, cur.z, dt)
+    cons, elevation = sc.energy.consumption, sc.env.sun.elevation
+    e_out_total = e_gain_total = applied_total = length = shadow_time = 0.0
+    level, cap = log.battery[0], sc.battery.capacity
+    points = list(zip(log.x, log.y, log.z))
+    rows = zip(log.t, log.t[1:], log.v[1:], points, points[1:], log.shadow[1:])
+    for t0, t1, v, a, b, shadow in rows:
+        dt = t1 - t0
+        e_out, _ = cons.move(v * dt, b[2] - a[2])
+        e_gain = sc.energy.gain(elevation, shadow, b[2], dt)
         new_level = min(cap, level - e_out + e_gain)
         applied_total += new_level - level + e_out
         level = new_level
         e_out_total += e_out
         e_gain_total += e_gain
-        length += math.dist((prev.x, prev.y, prev.z), (cur.x, cur.y, cur.z))
-        if cur.shadow:
+        length += math.dist(a, b)
+        if shadow:
             shadow_time += dt
-    reached = any(e.kind == "goal" for e in log.events)
-    collided = any(e.kind == "collision" for e in log.events)
+    kinds = [e.kind for e in log.events]
     return Metrics(
-        total_time=recs[-1].t,
+        total_time=log.t[-1],
         e_out=e_out_total,
         e_gain=e_gain_total,
         net_cost=e_out_total - applied_total,
-        final_battery=recs[-1].battery,
+        final_battery=log.battery[-1],
         path_length=length,
         shadow_time=shadow_time,
-        min_separation=min(r.min_dist for r in recs),
-        collision=collided,
-        reached_goal=reached,
-        terminal=log.terminal,
+        min_separation=min(log.min_dist),
+        collision="collision" in kinds,
+        reached_goal="goal" in kinds,
+        terminal=next((k for k in reversed(kinds) if k in _TERMINAL_EVENTS), "timeout"),
     )
 
 
 def energy_audit(log: SimLog, sc: Scenario) -> float:
-    """Double-entry residual: recomputed flows vs the logged battery trace."""
-    recs = log.records
-    cons = sc.energy.consumption
-    elevation = sc.env.sun.elevation
-    level = recs[0].battery
-    worst = 0.0
-    for prev, cur in zip(recs, recs[1:]):
-        dt = cur.t - prev.t
-        e_out, _ = cons.move(cur.v * dt, cur.z - prev.z)
-        e_gain = sc.energy.gain(elevation, cur.shadow, cur.z, dt)
+    """Double-entry residual: recomputed flows vs the logged battery trace.
+    Its own replay of the columns, kept apart from compute_metrics."""
+    cons, elevation = sc.energy.consumption, sc.env.sun.elevation
+    level, worst = log.battery[0], 0.0
+    rows = zip(log.t, log.t[1:], log.v[1:], log.z, log.z[1:], log.shadow[1:], log.battery[1:])
+    for t0, t1, v, z0, z1, shadow, logged in rows:
+        dt = t1 - t0
+        e_out, _ = cons.move(v * dt, z1 - z0)
+        e_gain = sc.energy.gain(elevation, shadow, z1, dt)
         level = min(sc.battery.capacity, level - e_out + e_gain)
-        worst = max(worst, abs(level - cur.battery))
+        worst = max(worst, abs(level - logged))
     return worst

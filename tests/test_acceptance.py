@@ -184,9 +184,8 @@ def test_criterion_4_battery_invariants_and_audit():
         mode = "hybrid" if trial % 2 == 0 else "track-only"
         log, metrics = run_scenario(sc, mode=mode)
         assert metrics.terminal != "battery_depleted", "scenario not feasible"
-        for rec in log.records:
-            assert sc.battery.floor <= rec.battery <= sc.battery.capacity, (
-                trial, rec.t, rec.battery)
+        for t, level in zip(log.t, log.battery):
+            assert sc.battery.floor <= level <= sc.battery.capacity, (trial, t, level)
         worst_audit = max(worst_audit, energy_audit(log, sc))
         runs += 1
     ok = runs == 100 and worst_audit < 1e-6
@@ -285,9 +284,9 @@ def test_criterion_6_hybrid_safety_and_benefit():
     reactive_log, reactive = run_scenario(sc, mode="reactive-only")
 
     u_max = sc.limits.u_max
-    bang_bang = all(rec.u in (-u_max, 0.0, u_max)
-                    for rec in hybrid_log.records if rec.mode is Mode.AVOIDING)
-    separation_ok = all(rec.min_dist > 0.0 for rec in hybrid_log.records)
+    bang_bang = all(u in (-u_max, 0.0, u_max)
+                    for mode, u in zip(hybrid_log.mode, hybrid_log.u) if mode is Mode.AVOIDING)
+    separation_ok = all(d > 0.0 for d in hybrid_log.min_dist)
     ok = (hybrid.reached_goal and not hybrid.collision and separation_ok
           and bang_bang and hybrid.net_cost < reactive.net_cost
           and elapsed < 10.0)

@@ -147,7 +147,7 @@ def test_csv_row_formats_each_number_as_before(value, shadow):
         nums[column] = value
         old = ",".join([*(format(float(x), ".9g") for x in nums[:8]),
                         "1" if shadow else "0", "plan", format(float(nums[8]), ".9g")])
-        assert reporting._row(*nums[:8], shadow, "plan", nums[8]) == old
+        assert reporting._CSV_ROW % (*nums[:8], shadow, "plan", nums[8]) == old
 
 
 def test_roundtrip_preserves_digest(tmp_path):
@@ -719,6 +719,36 @@ def test_simulate_collision_exits_one(tmp_path):
     path = write(tmp_path, yaml.safe_dump(doc))
     result = CliRunner().invoke(main, ["simulate", "-s", path, "-m", "track-only"])
     assert result.exit_code == 1
+
+
+@pytest.mark.parametrize("mode", ["hybrid", "track-only"])
+def test_simulate_refuses_a_planner_it_cannot_fly(tmp_path, mode):
+    """`simulate` flies only the grid planners: a stack that plans exits 1
+    on a scenario naming `privacy`, names the planner and writes no log."""
+    doc = section5_preset()
+    doc["mission"]["planner"] = "privacy"
+    out = tmp_path / "log.csv"
+    result = CliRunner().invoke(main, ["simulate", "-s", write(tmp_path, yaml.safe_dump(doc)),
+                                       "-m", mode, "-o", str(out)])
+    assert result.exit_code == 1
+    assert result.output == ("planning failed: simulate flies only energy/time/shortest, "
+                             "not 'privacy'\n")
+    assert not out.exists()
+
+
+def test_simulate_reactive_only_plans_nothing(tmp_path):
+    """`reactive-only` flies a straight reference, so a scenario naming
+    `privacy` gives the log of the same scenario naming `energy`."""
+    doc = section5_preset()
+    doc["mission"]["planner"] = "privacy"
+    logs = []
+    for source in (write(tmp_path, yaml.safe_dump(doc)), "section5"):
+        out = tmp_path / f"log{len(logs)}.csv"
+        result = CliRunner().invoke(main, ["simulate", "-s", source, "-m", "reactive-only",
+                                           "-o", str(out)])
+        assert result.exit_code == 0, result.output
+        logs.append(out.read_bytes())
+    assert logs[0] == logs[1]
 
 
 # -------------------------------------------------------------------- compare

@@ -12,7 +12,9 @@ from solarnav import (BatteryState, Box, Environment, Mode, MovingObstacle,
                       PlanningFailed, Prism, Scenario, SimLog, StepRecord,
                       SunModel, Vec3, compute_metrics, energy_audit,
                       run_scenario, shadowed_at, step_obstacles)
-from solarnav.reporting import trajectory_csv_rows
+from solarnav import simulate
+from solarnav.energy import ConsumptionParams, EnergyModel
+from solarnav.reporting import CSV_HEADER, trajectory_csv_rows
 from solarnav.scenario_io import load_scenario
 from solarnav.simulate import _replanned_waypoints, scenario_grid
 
@@ -109,7 +111,7 @@ def test_sixty_second_full_sun_energy_totals():
     sc = open_world_scenario(length=900.0, max_duration=60.0)
     log, m = run_scenario(sc, mode="track-only")
     assert m.terminal == "timeout"
-    assert len(log.records) == 1201
+    assert len(log.t) == 1201
     assert m.e_out == pytest.approx(1800.0, rel=1e-9)
     assert m.e_gain == pytest.approx(1368.0, rel=1e-9)
 
@@ -129,26 +131,57 @@ def test_energy_double_entry_audit():
     assert energy_audit(log, sc) < 1e-6
 
 
+def test_energy_audit_of_a_climbing_run():
+    """The 3D step prices each climb from the altitude before it."""
+    sc = dataclasses.replace(open_world_scenario(planar=False), start=Vec3(20.0, 120.0, 60.0),
+                             goal=Vec3(420.0, 120.0, 100.0), max_duration=120.0)
+    log, m = run_scenario(sc, mode="track-only")
+    assert m.reached_goal and max(log.z) - min(log.z) > 10.0
+    assert energy_audit(log, sc) < 1e-6
+
+
+def test_energy_audit_reads_the_battery_column():
+    """A logged battery level off by delta shows as a residual of delta."""
+    sc = load_scenario("section5")
+    log, _ = run_scenario(sc, mode="hybrid")
+    clean = energy_audit(log, sc)
+    delta = 1e-3
+    log.battery[len(log.t) // 2] += delta
+    assert energy_audit(log, sc) >= delta - clean
+
+
+def test_energy_audit_reads_the_shadow_column():
+    """A sunlit step logged as shadowed loses its harvest in the replay."""
+    sc = load_scenario("section5")
+    log, _ = run_scenario(sc, mode="hybrid")
+    clean = energy_audit(log, sc)
+    i = log.shadow.index(False, 1)
+    log.shadow[i] = True
+    gain = sc.energy.gain(sc.env.sun.elevation, False, log.z[i], log.t[i] - log.t[i - 1])
+    assert gain > 0.1
+    assert energy_audit(log, sc) >= gain - clean
+
+
 def test_battery_trace_within_bounds():
     sc = load_scenario("section5")
     log, _ = run_scenario(sc, mode="hybrid")
-    for rec in log.records:
-        assert sc.battery.floor <= rec.battery <= sc.battery.capacity
+    for level in log.battery:
+        assert sc.battery.floor <= level <= sc.battery.capacity
 
 
 def test_shadow_flags_match_posthoc_recomputation():
     sc = load_scenario("section5")
     log, _ = run_scenario(sc, mode="hybrid")
-    for rec in log.records:
-        assert rec.shadow == shadowed_at(sc.env, rec.position,
-                                         [o.at(rec.t) for o in sc.unknown_obstacles])
+    for t, x, y, z, shadow in zip(log.t, log.x, log.y, log.z, log.shadow):
+        assert shadow == shadowed_at(sc.env, Vec3(x, y, z),
+                                     [o.at(t) for o in sc.unknown_obstacles])
 
 
 def test_logged_positions_collision_free_when_flag_clear():
     sc = load_scenario("section5")
     log, m = run_scenario(sc, mode="hybrid")
     assert not m.collision
-    assert all(r.min_dist > 0.0 for r in log.records)
+    assert all(d > 0.0 for d in log.min_dist)
 
 
 def test_battery_depletion_is_terminal_event_not_exception():
@@ -215,18 +248,18 @@ def test_avoiding_mode_commands_are_bang_bang():
     sc = load_scenario("section5")
     log, _ = run_scenario(sc, mode="hybrid")
     u_max = sc.limits.u_max
-    for rec in log.records:
-        if rec.mode is Mode.AVOIDING:
-            assert rec.u in (-u_max, 0.0, u_max)
+    for mode, u in zip(log.mode, log.u):
+        if mode is Mode.AVOIDING:
+            assert u in (-u_max, 0.0, u_max)
 
 
 def test_commands_always_within_limits():
     sc = load_scenario("section5")
     for mode in ("hybrid", "reactive-only", "track-only"):
         log, _ = run_scenario(sc, mode=mode)
-        for rec in log.records[1:]:
-            assert sc.limits.v_min <= rec.v <= sc.limits.v_max
-            assert abs(rec.u) <= sc.limits.u_max
+        for v, u in zip(log.v[1:], log.u[1:]):
+            assert sc.limits.v_min <= v <= sc.limits.v_max
+            assert abs(u) <= sc.limits.u_max
 
 
 def test_mode_transitions_only_via_switching_laws():
@@ -234,9 +267,9 @@ def test_mode_transitions_only_via_switching_laws():
     sc = load_scenario("section5")
     log, _ = run_scenario(sc, mode="hybrid")
     switch_times = {e.t for e in log.events if e.kind == "mode_switch"}
-    for prev, cur in zip(log.records, log.records[1:]):
-        if prev.mode is not cur.mode:
-            assert prev.t in switch_times
+    for t, prev, cur in zip(log.t, log.mode, log.mode[1:]):
+        if prev is not cur:
+            assert t in switch_times
 
 
 def test_three_dimensional_tracking_follows_altitude():
@@ -247,16 +280,16 @@ def test_three_dimensional_tracking_follows_altitude():
                   grid_resolution=20.0)
     log, m = run_scenario(sc, mode="track-only")
     assert m.reached_goal
-    assert log.records[-1].z == pytest.approx(80.0, abs=20.0)
-    assert max(r.z for r in log.records) <= 200.0
+    assert log.z[-1] == pytest.approx(80.0, abs=20.0)
+    assert max(log.z) <= 200.0
 
 
 # -------------------------------------------------------------------- metrics
 
 def test_metrics_single_record_log():
     sc = open_world_scenario()
-    log = SimLog(records=[StepRecord(0.0, 20.0, 120.0, 100.0, 0.0, 0.0, 0.0,
-                                     670.0, False, Mode.TRACKING, math.inf)])
+    log = SimLog(t=[0.0], x=[20.0], y=[120.0], z=[100.0], theta=[0.0], v=[0.0], u=[0.0],
+                 battery=[670.0], shadow=[False], mode=[Mode.TRACKING], min_dist=[math.inf])
     m = compute_metrics(log, sc)
     assert m.e_out == 0.0 and m.e_gain == 0.0 and m.net_cost == 0.0
     assert m.final_battery == 670.0
@@ -301,10 +334,53 @@ def test_min_separation_negative_inside_near_prism_center():
         assert (min_separation(env, (), p) > 0.0) == (not is_collision(p, env)), p
 
 
+def test_net_cost_counts_only_the_banked_harvest():
+    """Level flight on 10 W in full sun: the harvest exceeds the consumption,
+    the battery stays full, and the net cost is the battery's drop, zero."""
+    sc = dataclasses.replace(open_world_scenario(), planner="time", energy=EnergyModel(
+        ConsumptionParams(p_level=10.0, p_up=12.0, p_down=8.0)))
+    log, m = run_scenario(sc, mode="track-only")
+    assert m.reached_goal and m.e_gain > m.e_out > 0.0
+    assert log.battery[0] == log.battery[-1] == sc.battery.capacity
+    assert m.net_cost == pytest.approx(0.0, abs=1e-9)
+    assert energy_audit(log, sc) < 1e-9
+
+
 def test_metrics_recomputation_matches_battery_deltas():
     sc = load_scenario("section5")
     log, m = run_scenario(sc, mode="hybrid")
-    delta = log.records[0].battery - log.records[-1].battery
+    delta = log.battery[0] - log.battery[-1]
     # net cost == consumption - applied harvest == battery drop (no clamping
     # events after leaving a full battery under these parameters).
     assert m.net_cost == pytest.approx(delta, abs=1e-6)
+
+
+# ------------------------------------------------------------------ log layout
+
+def test_step_loop_builds_no_row_objects(monkeypatch):
+    """The run appends to the log's columns: building a StepRecord fails it."""
+    class NoRows(StepRecord):
+        def __new__(cls, *args, **kwargs):
+            raise AssertionError("a StepRecord was built")
+
+    monkeypatch.setattr(simulate, "StepRecord", NoRows)
+    sc = load_scenario("section5")
+    log, m = run_scenario(sc, mode="hybrid", replan=True)
+    assert m.reached_goal and any(e.kind == "replan" for e in log.events)
+    assert len(trajectory_csv_rows(log)) == len(log.t)
+
+
+def test_records_are_the_columns_zipped():
+    """`SimLog` has one column per StepRecord field, in field order, and
+    `records` reads the rows back from them."""
+    assert [f.name for f in dataclasses.fields(SimLog)] == [*StepRecord._fields, "events"]
+    log, _ = run_scenario(load_scenario("section5"), mode="hybrid")
+    columns = [getattr(log, name) for name in StepRecord._fields]
+    assert {len(c) for c in columns} == {len(log.t)}
+    rows = log.records
+    assert all(type(r) is StepRecord for r in rows)
+    assert [tuple(r) for r in rows] == list(zip(*columns))
+
+
+def test_csv_header_is_the_record_fields():
+    assert CSV_HEADER == ",".join(StepRecord._fields)
