@@ -69,6 +69,20 @@ MUTANTS = [
     Mutant("climb-rate-unclamped", "control.py",
            "cw = min(max(w, -limits.climb_rate), limits.climb_rate)", "cw = w",
            ["tests/test_control.py::test_clamping_warns_and_limits"]),
+    Mutant("segment-blocked-returns-the-first-entered-box", "world.py",
+           "                                    np.array([t0]), np.array([t1]))[0]:\n"
+           "                return True\n    return False",
+           "                                    np.array([t0]), np.array([t1]))[0]:\n"
+           "                return True\n            return False\n    return False",
+           ["tests/test_world.py::test_segment_blocked_by_the_second_entered_box[order0]"]),
+    Mutant("float-clip-ignores-a-nan-quotient", "world.py",
+           "if t0 > t1 or ta != ta or tb != tb:", "if t0 > t1:",
+           ["tests/test_world.py::"
+            "test_overflowing_difference_misses_the_box_as_in_the_batch"]),
+    Mutant("clear-exit-on-the-probes-alone", "world.py",
+           "~(_sandwich_bound(ga, g[0], g[1], gb) > 1.0 + margin)",
+           "~(np.minimum(g[0], g[1]) > 1.0 + margin)",
+           ["tests/test_world.py::test_dip_between_the_first_probes_is_blocked"]),
     Mutant("lattice-index-past-the-far-face", "grid.py",
            "(idx >= 0) & (idx < self.dims)", "(idx >= 0) & (idx <= self.dims)",
            ["tests/test_grid.py::test_lattice_indexing_round_trips"]),

@@ -457,8 +457,9 @@ CUTOFF_ROW = (env_with([Prism(Vec3(10.0, 10.0, 10.0), (10.0, 10.0, 10.0), (2, 2,
 @example(CUTOFF_ROW)
 @settings(max_examples=150, deadline=None)
 def test_segment_blocked_equals_one_row_batch(case):
-    """The scalar rejection in `segment_blocked` changes no verdict, and a
-    segment clear of every prism's box never reaches `segments_blocked`."""
+    """`segment_blocked` gives the one-row `segments_blocked` verdict without
+    calling it, and runs the narrow phase exactly when the segment enters
+    some prism's box."""
     env, rows = case
     batched = world.segments_blocked
     starts = [np.array([a.as_tuple()]) for a, _ in rows]
@@ -466,14 +467,54 @@ def test_segment_blocked_equals_one_row_batch(case):
     want = [bool(batched(env, s, e)[0]) for s, e in zip(starts, ends)]
     enters = [any(world._clip_to_aabb(s, e - s, *prism.aabb())[2][0]
                   for prism in env.known_obstacles) for s, e in zip(starts, ends)]
-    got, called = [], []
-    with mock.patch.object(world, "segments_blocked", wraps=batched) as spy:
+    got, searched = [], []
+    with mock.patch.object(world, "segments_blocked") as batch_spy, \
+            mock.patch.object(world, "_segments_meet_prism",
+                              wraps=world._segments_meet_prism) as spy:
         for a, b in rows:
             before = spy.call_count
             got.append(segment_blocked(env, a, b))
-            called.append(spy.call_count > before)
+            searched.append(spy.call_count > before)
     assert got == want
-    assert called == enters
+    assert searched == enters
+    assert batch_spy.call_count == 0
+
+
+def test_overflowing_difference_misses_the_box_as_in_the_batch():
+    """Endpoints 2e308 apart overflow the difference to inf, and against a
+    face past 8e307 the slab quotient is inf / inf = NaN: both the float and
+    the numpy clip then reject the prism, so the verdicts agree."""
+    huge = Environment(Box(Vec3(-1.7e308, -100.0, -100.0), Vec3(1.7e308, 100.0, 100.0)),
+                       (Prism(Vec3(1e308, 0.0, 0.0), (1e307, 10.0, 10.0), (2, 2, 2)),),
+                       z_min=-100.0, z_max=100.0)
+    a, b = Vec3(-1e308, 0.0, 0.0), Vec3(1e308, 0.0, 0.0)
+    with np.errstate(over="ignore"):
+        want = world.segments_blocked(huge, np.array([a.as_tuple()]), np.array([b.as_tuple()]))
+    assert segment_blocked(huge, a, b) is bool(want[0]) is False
+
+
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+def test_segment_blocked_by_the_second_entered_box(order):
+    """The segment enters both boxes, misses the (2,2,2) prism in its box's
+    corner and meets the (4,4,4) one: blocked whichever prism comes first."""
+    prisms = [Prism(Vec3(30.0, 30.0, 30.0), (10.0, 10.0, 10.0), (2, 2, 2)),
+              Prism(Vec3(70.0, 39.0, 39.0), (5.0, 5.0, 5.0), (4, 4, 4))]
+    env = env_with([prisms[i] for i in order])
+    a, b = Vec3(5.0, 39.0, 39.0), Vec3(95.0, 39.0, 39.0)
+    assert [segment_blocked(env_with([p]), a, b) for p in prisms] == [False, True]
+    assert segment_blocked(env, a, b) and segment_blocked(env, b, a)
+
+
+def test_dip_between_the_first_probes_is_blocked():
+    """An exponent-(2,2,2) chord at 0.998 of the semi-axis: gamma dips to
+    0.992 at the middle, while both probes of the first ternary iteration, at
+    the thirds of the clipped span, read above 1. The clear exit must not
+    take those probes as a lower bound."""
+    prism = Prism(Vec3(50.0, 50.0, 50.0), (10.0, 10.0, 10.0), (2, 2, 2))
+    a, b = Vec3(20.0, 59.98, 50.0), Vec3(80.0, 59.98, 50.0)
+    probes = [gamma(Vec3(x, 59.98, 50.0), prism) for x in (40.0 + 20.0 / 3, 60.0 - 20.0 / 3)]
+    assert min(probes) > 1.0 > gamma(Vec3(50.0, 59.98, 50.0), prism)
+    assert segment_blocked(env_with([prism]), a, b)
 
 
 @given(st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 6))
